@@ -9,6 +9,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -76,6 +77,10 @@ class TeamSide(Enum):
 
 TEAM_ORDER: tuple[TeamSide, ...] = (TeamSide.HOME, TeamSide.AWAY)
 
+# Row and column of each team and event in a SummaryTable.
+_TEAM_POS: dict[TeamSide, int] = {team: i for i, team in enumerate(TEAM_ORDER)}
+_EVENT_POS: dict[EventType, int] = {event: i for i, event in enumerate(EVENT_ORDER)}
+
 
 class RawEventLabel(Enum):
     """Surface event labels as they appear in extracted tuples."""
@@ -126,6 +131,9 @@ def _load_synonyms() -> dict[str, RawEventLabel]:
 _SYNONYMS: dict[str, RawEventLabel] = _load_synonyms()
 
 
+# Model output repeats a small label vocabulary; the bound caps what junk
+# output can make the cache hold.
+@lru_cache(maxsize=1024)
 def normalize_label(text: str) -> RawEventLabel | Unknown:
     """Resolve a surface event string to a canonical label, else Unknown(text)."""
     return _SYNONYMS.get(_fold(text), Unknown(text))
@@ -139,6 +147,11 @@ def known_label_keys() -> frozenset[str]:
 _PLAYER_TAG = re.compile(r"Player[1-9]\d*\Z")
 
 
+@lru_cache(maxsize=1024)
+def _is_player_tag(text: str) -> bool:
+    return _PLAYER_TAG.match(text) is not None
+
+
 @dataclass(frozen=True, slots=True)
 class EventTuple:
     """One extracted event: optional player tag, team side, raw label."""
@@ -148,7 +161,7 @@ class EventTuple:
     player: str | None = None
 
     def __post_init__(self) -> None:
-        if self.player is not None and not _PLAYER_TAG.match(self.player):
+        if self.player is not None and not _is_player_tag(self.player):
             raise ValueError(f"player must look like Player<n>, got {self.player!r}")
 
 
@@ -184,10 +197,10 @@ class SummaryTable:
         )
 
     def get(self, team: TeamSide, event: EventType) -> int:
-        return self.counts[TEAM_ORDER.index(team)][EVENT_ORDER.index(event)]
+        return self.counts[_TEAM_POS[team]][_EVENT_POS[event]]
 
     def row(self, team: TeamSide) -> tuple[int, ...]:
-        return self.counts[TEAM_ORDER.index(team)]
+        return self.counts[_TEAM_POS[team]]
 
     def add(self, other: "SummaryTable") -> "SummaryTable":
         return SummaryTable(

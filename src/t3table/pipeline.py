@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
-from .model import EVENT_ORDER, EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
+from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
 from .tuples import TupleParseReport, integrate, parse_tuples
@@ -168,9 +168,8 @@ def _all_events_occur(instance: MatchInstance) -> bool:
     table = instance.ground_truth
     if table is None:
         return False
-    return all(
-        table.get(TeamSide.HOME, e) + table.get(TeamSide.AWAY, e) >= 1 for e in EVENT_ORDER
-    )
+    home, away = table.counts  # rows in TEAM_ORDER, columns in EVENT_ORDER
+    return all(h + a >= 1 for h, a in zip(home, away))
 
 
 def pick_exemplars(
@@ -204,13 +203,16 @@ def run_batch(
         backend = CachingBackend(cache_dir, backend)
     progress_lock = threading.Lock()
     done = 0
+    # pick_exemplars filters again; on this pool that costs a pass over the
+    # candidates only, not over the whole dataset for every instance
+    exemplar_pool = [d for d in dataset if _all_events_occur(d)] if mode.kind is ModeKind.FEW_SHOT else []
 
     def run_one(index: int) -> RunTranscript:
         nonlocal done
         instance = dataset[index]
         examples_block = None
         if mode.kind is ModeKind.FEW_SHOT:
-            exemplars = pick_exemplars(dataset, instance, mode.shots, seed)
+            exemplars = pick_exemplars(exemplar_pool, instance, mode.shots, seed)
             examples_block = prompts.render_examples_block(exemplars, mode.with_cot)
         transcript = run_instance(
             instance,
@@ -234,14 +236,20 @@ def run_batch(
 
 
 def replay_outcome(transcript: RunTranscript) -> ParsedTableOutcome:
-    """Recompute the final outcome from the recorded raw responses."""
-    llm_stages = [s for s in transcript.stages if s.kind == "llm"]
-    if not llm_stages:
-        return transcript.outcome
+    """Recompute the final outcome from the recorded raw responses.
+
+    When the stage that answers with the table (t2: the tuples it integrates)
+    never returned, the recorded outcome stands.
+    """
     mode = prompts.parse_mode(transcript.mode)
+    final_stage = 3 if mode.kind in (ModeKind.T3, ModeKind.T3_DIRECT) else 1
+    final = [s for s in transcript.stages if s.kind == "llm" and s.stage == final_stage]
+    if not final:
+        return transcript.outcome
+    response = final[-1].response
     if mode.kind is ModeKind.T2:
-        return ParsedTableOutcome.ok(integrate(parse_tuples(llm_stages[0].response).tuples))
-    return parse_model_table(llm_stages[-1].response)
+        return ParsedTableOutcome.ok(integrate(parse_tuples(response).tuples))
+    return parse_model_table(response)
 
 
 # --- transcript files -----------------------------------------------------------

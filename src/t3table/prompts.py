@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .model import EVENT_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, Unknown
-from .tableio import to_csv
+from .tableio import event_named, to_csv
 
 Message = tuple[str, str]
 
@@ -43,10 +43,6 @@ class PipelineMode:
             base = "few-shot-cot" if self.with_cot else "few-shot"
             return f"{base}:{self.shots}"
         return self.kind.value
-
-    @property
-    def stage_count(self) -> int:
-        return 3 if self.kind in (ModeKind.T3, ModeKind.T3_DIRECT) else 1
 
 
 ZERO_SHOT = PipelineMode(ModeKind.ZERO_SHOT)
@@ -113,19 +109,6 @@ _TEMPLATE_FOR: dict[tuple[ModeKind, int], str] = {
     (ModeKind.T3_DIRECT, 3): "render_table",
     (ModeKind.T2, 1): "extract",
 }
-
-TEMPLATE_IDS = (
-    "extract",
-    "integrate_code",
-    "integrate_direct",
-    "render_table",
-    "merged",
-    "zero_shot",
-    "zero_shot_cot",
-    "few_shot",
-    "few_shot_cot",
-)
-
 
 def template_text(template_id: str) -> str:
     return _asset(f"prompts/{template_id}.txt")
@@ -195,19 +178,7 @@ def render_tuple_lines(tuples: Iterable[EventTuple]) -> str:
     return "\n".join(lines)
 
 
-_COUNT_NAMES: dict[EventType, str] = {
-    EventType.GOALS: "goals",
-    EventType.SHOTS: "shots",
-    EventType.FOULS: "fouls",
-    EventType.YELLOW_CARDS: "yellow cards",
-    EventType.RED_CARDS: "red cards",
-    EventType.CORNER_KICKS: "corner kicks",
-    EventType.FREE_KICKS: "free kicks",
-    EventType.OFFSIDES: "offsides",
-}
-
-_COUNT_LOOKUP = {re.sub(r"[^a-z0-9]+", "", v): e for e, v in _COUNT_NAMES.items()}
-_COUNT_LOOKUP.update({k.rstrip("s"): e for k, e in list(_COUNT_LOOKUP.items())})
+_COUNT_NAMES: dict[EventType, str] = {e: e.value.lower() for e in EVENT_ORDER}
 
 _COUNT_LINE = re.compile(r"\(([^()]*)\)")
 
@@ -231,7 +202,7 @@ def parse_count_tuples(text: str) -> SummaryTable | None:
         team_text, event_text, count_text = parts
         folded = team_text.lower()
         team = TeamSide.HOME if "home" in folded else TeamSide.AWAY if "away" in folded else None
-        event = _COUNT_LOOKUP.get(re.sub(r"[^a-z0-9]+", "", event_text.lower()))
+        event = event_named(event_text)
         if team is None or event is None or not count_text.isdigit():
             continue
         cells[(team, event)] = int(count_text)

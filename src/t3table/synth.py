@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -123,6 +124,15 @@ def _keyword_for(text: str) -> str:
     return max(chunks, key=len)
 
 
+def _literal_words(text: str) -> list[str]:
+    """Template words with whitespace or a template edge on both sides.
+
+    Any sentence the template matches has each of them as a whole
+    whitespace-separated token, whatever fills the slots.
+    """
+    return [w for w in text.split() if not _PLACEHOLDER.search(w)]
+
+
 class TemplateBank:
     """Committed sentence templates shared by the generator and the oracle."""
 
@@ -169,6 +179,30 @@ class TemplateBank:
             for j, line in enumerate(lines):
                 entries.append(build({"id": f"{name}-{j}", "text": line}, ()))
         self.entries: tuple[_Entry, ...] = tuple(entries)
+
+        # Index for oracle_extract: each entry is filed under the literal word
+        # of its template that the fewest entries share.
+        words = [set(_literal_words(e.text)) for e in self.entries]
+        share = Counter(w for ws in words for w in ws)
+        self._by_word: dict[str, list[int]] = {}
+        for pos, (entry, ws) in enumerate(zip(self.entries, words)):
+            if not ws:
+                raise ValueError(f"template {entry.id} has no literal word to index it by")
+            key = min(sorted(ws), key=share.__getitem__)
+            self._by_word.setdefault(key, []).append(pos)
+
+    def candidates(self, sentence: str) -> list[_Entry]:
+        """Entries that could fullmatch ``sentence``, in bank order.
+
+        Every entry that matches is among them: its index word is a
+        whitespace-separated token of any sentence it matches.
+        """
+        # an entry sits under one word only, so the positions are distinct
+        found: list[int] = []
+        for word in self._by_word.keys() & sentence.split():
+            found += self._by_word[word]
+        found.sort()
+        return [self.entries[pos] for pos in found]
 
 
 @lru_cache(maxsize=None)
@@ -454,14 +488,17 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
     """Recover event tuples from commentary.
 
     Exact on generator output (one tuple per scripted event); best effort
-    elsewhere.
+    elsewhere. Each sentence takes the first bank entry that fullmatches it.
+    Only the bank's index candidates are tried, but they include every entry
+    that could match and come in bank order, so the first match is the same
+    as in a scan of the whole bank.
     """
     bank = bank or default_bank()
     tuples: list[EventTuple] = []
     for sentence in _SENTENCE_SPLIT.split(commentary.strip()):
         if not sentence:
             continue
-        for entry in bank.entries:
+        for entry in bank.candidates(sentence):
             if entry.keyword and entry.keyword not in sentence:
                 continue
             m = entry.pattern.fullmatch(sentence)

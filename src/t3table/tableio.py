@@ -47,11 +47,17 @@ def _norm(cell: str) -> str:
     return re.sub(r"[^a-z0-9]+", "", cell.lower())
 
 
-# Fuzzy header lookup: lowercase alphanumeric comparison, singular accepted.
+# Fuzzy event-name lookup: lowercase alphanumeric comparison, singular accepted.
 _HEADER_ALIASES: dict[str, EventType] = {}
 for _e in EVENT_ORDER:
     _HEADER_ALIASES[_norm(_e.column_header)] = _e
     _HEADER_ALIASES[_norm(_e.column_header).rstrip("s")] = _e
+
+
+def event_named(text: str) -> EventType | None:
+    """The event a header cell or count-tuple field names, if any."""
+    return _HEADER_ALIASES.get(_norm(text))
+
 
 # Filler cells make the whole table malformed: every cell is a required count.
 _FILLERS = {"", "-", "--", "n/a", "na", "none", "nil", "unknown", "not mentioned", "notmentioned"}
@@ -84,7 +90,7 @@ def _find_header(rows: list[list[str]]) -> tuple[int, dict[EventType, int]] | No
     for i, row in enumerate(rows):
         columns: dict[EventType, int] = {}
         for j, cell in enumerate(row):
-            event = _HEADER_ALIASES.get(_norm(cell))
+            event = event_named(cell)
             if event is not None and event not in columns:
                 columns[event] = j
         if len(columns) == 8:

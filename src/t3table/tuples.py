@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
+    EVENT_ORDER,
+    TEAM_ORDER,
     EventTuple,
     EventType,
     RawEventLabel,
@@ -37,6 +39,13 @@ LABEL_EFFECTS: dict[RawEventLabel, tuple[EventType, ...]] = {
     RawEventLabel.PENALTY: (EventType.FREE_KICKS,),
     RawEventLabel.OFFSIDE: (EventType.OFFSIDES,),
 }
+
+# LABEL_EFFECTS as offsets into a table's 16 cells, row-major in TEAM_ORDER x
+# EVENT_ORDER: one map per team, so counting hashes only the label.
+_CELL_OFFSETS: tuple[dict[RawEventLabel, tuple[int, ...]], ...] = tuple(
+    {label: tuple(8 * row + EVENT_ORDER.index(e) for e in effects) for label, effects in LABEL_EFFECTS.items()}
+    for row in range(len(TEAM_ORDER))
+)
 
 
 def primary_event(label: RawEventLabel | Unknown) -> EventType | None:
@@ -81,7 +90,8 @@ def parse_tuples(text: str) -> TupleParseReport:
     rejected: list[tuple[str, str]] = []
     unknown = 0
     for line in text.splitlines():
-        line = _TAG_DECORATION.sub(r"\1", line)
+        if " Team)" in line:  # every decorated tag ends so
+            line = _TAG_DECORATION.sub(r"\1", line)
         for group in _PAREN_GROUP.findall(line):
             parts = [p.strip() for p in group.split(",")]
             if len(parts) < 2:
@@ -108,17 +118,12 @@ def parse_tuples(text: str) -> TupleParseReport:
 
 def integrate(tuples: Iterable[EventTuple]) -> SummaryTable:
     """Count tuples into a summary table. Unknown labels add nothing."""
-    cells: Counter[tuple[TeamSide, EventType]] = Counter()
+    cells = [0] * 16
+    home, away = _CELL_OFFSETS
     for t in tuples:
-        if isinstance(t.label, Unknown):
-            continue
-        for event in LABEL_EFFECTS[t.label]:
-            cells[(t.team, event)] += 1
-    return SummaryTable.from_cells(cells)
-
-
-def count_unknown(tuples: Iterable[EventTuple]) -> int:
-    return sum(1 for t in tuples if isinstance(t.label, Unknown))
+        for k in (home if t.team is TeamSide.HOME else away).get(t.label, ()):
+            cells[k] += 1
+    return SummaryTable((tuple(cells[:8]), tuple(cells[8:])))
 
 
 def aggregate_majority(tables: Sequence[SummaryTable]) -> SummaryTable:

@@ -70,8 +70,9 @@ def test_normalize_label_synonyms(text, label):
 
 
 def test_normalize_label_unknown_keeps_text():
-    result = normalize_label("throw-in")
-    assert result == Unknown("throw-in")
+    # the second call is answered from the memo and must be equal
+    for _ in range(2):
+        assert normalize_label("throw-in") == Unknown("throw-in")
 
 
 def test_throw_in_absent_from_synonym_map():
@@ -102,6 +103,10 @@ def test_event_tuple_player_pattern():
         EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Smith")
     with pytest.raises(ValueError):
         EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player0")
+    # the verdict is memoized: a repeated bad value must raise again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player0x")
 
 
 def test_summary_table_validation():

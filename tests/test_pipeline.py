@@ -165,6 +165,39 @@ def test_transcript_round_trip_and_replay(tmp_path, synthetic):
         assert replay_outcome(back).table == original.outcome.table
 
 
+def _failing_from(failing_templates: set[str]):
+    """Oracle answers, except that the given templates raise BackendError."""
+    oracle = OracleBackend()
+
+    def script(request: LlmRequest) -> str:
+        template_id, _ = prompts.classify_prompt(request.last_text)
+        if template_id in failing_templates:
+            raise BackendError(f"{template_id} is down")
+        return oracle.complete(request).text
+
+    return StubBackend(script)
+
+
+@pytest.mark.parametrize(
+    "mode, failing, stages_run",
+    [
+        (prompts.T3, {"render_table"}, [1, 2]),  # stage 3 fails
+        (prompts.T3_DIRECT, {"integrate_direct", "render_table"}, [1]),  # stage 2 fails, 3 never runs
+    ],
+)
+def test_replay_keeps_outcome_when_final_stage_never_returned(tmp_path, synthetic, mode, failing, stages_run):
+    transcripts = run_batch(synthetic[:2], mode, _failing_from(failing))
+    path = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, path)
+    for t in transcripts:
+        assert [s.stage for s in t.stages] == stages_run
+        assert t.outcome.reason_code == "backend_error"
+        assert replay_outcome(t) == t.outcome
+    for back in read_transcripts(path):
+        assert replay_outcome(back) == back.outcome
+        assert back.outcome.reason_code == "backend_error"
+
+
 def test_few_shot_prompts_carry_exemplars():
     # force every event to occur so exemplar candidates exist
     cfg = GeneratorConfig(seed=3).with_means(red_cards=3.0)

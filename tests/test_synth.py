@@ -5,6 +5,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from t3table.model import EventTuple, EventType, RawEventLabel, SummaryTable, TeamSide
 from t3table.synth import (
@@ -19,6 +21,9 @@ from t3table.synth import (
     read_dataset,
     tuples_of,
     write_dataset,
+    _SENTENCE_SPLIT,
+    _best_effort,
+    _entry_tuples,
 )
 from t3table.tuples import integrate, primary_event
 
@@ -64,6 +69,74 @@ def test_each_render_matches_exactly_one_pattern():
             sentence = placeholder.sub(fill, entry.text)
             claimants = [e.id for e in bank.entries if e.pattern.fullmatch(sentence)]
             assert claimants == [entry.id], f"{sentence!r} matched {claimants}"
+
+
+# --- indexed oracle vs a scan of the whole bank ----------------------------------------
+
+_BANK = default_bank()
+_SLOT = re.compile(r"\{([a-z0-9_]+)\}")
+
+
+def linear_oracle_extract(commentary: str) -> list[EventTuple]:
+    """Reference oracle: try every bank entry in bank order, first match wins."""
+    tuples: list[EventTuple] = []
+    for sentence in _SENTENCE_SPLIT.split(commentary.strip()):
+        if not sentence:
+            continue
+        for entry in _BANK.entries:
+            if entry.keyword and entry.keyword not in sentence:
+                continue
+            m = entry.pattern.fullmatch(sentence)
+            if m:
+                tuples.extend(_entry_tuples(entry, m))
+                break
+        else:
+            tuples.extend(_best_effort(sentence))
+    return tuples
+
+
+@st.composite
+def _tagged_player(draw) -> str:
+    return f"Player{draw(st.integers(1, 40))}({draw(st.sampled_from(['Home', 'Away']))} Team)"
+
+
+@st.composite
+def _bank_sentence(draw) -> str:
+    """A render of any bank entry, boilerplate included, with random slot fills."""
+
+    def fill(m: re.Match[str]) -> str:
+        name = m.group(1)
+        if name in ("player", "player2"):
+            return draw(_tagged_player())
+        if name in ("team", "opponent"):
+            return draw(st.sampled_from(["Home Team", "Away Team"]))
+        if name == "scoreline":
+            return f"Home Team {draw(st.integers(0, 9))}, Away Team {draw(st.integers(0, 9))}"
+        return draw(st.sampled_from(_BANK.slots[name]))
+
+    return _SLOT.sub(fill, draw(st.sampled_from(_BANK.entries)).text)
+
+
+@st.composite
+def _keyword_mix(draw) -> str:
+    """Foreign sentence carrying the keywords of two bank entries."""
+    first, second = draw(st.sampled_from(_BANK.entries)), draw(st.sampled_from(_BANK.entries))
+    tail = draw(st.sampled_from(["", " Home Team", " from close range", " is saved"]))
+    return f"{draw(_tagged_player())} {first.keyword} {second.keyword}{tail}."
+
+
+_foreign = st.text(alphabet="abcdefHPTlayerom ()0123456789.,!?-'", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_bank_sentence(), _keyword_mix(), _foreign), max_size=12).flatmap(st.permutations))
+@example([])
+@example(["   "])
+@example(["Player3(Away Team) scores with a left-footed shot from close range, Home Team 0, Away Team 1."])
+@example(["Player3(Away Team)'s left-footed shot from close range is saved in the top left corner."])
+def test_indexed_oracle_equals_linear_scan(sentences):
+    commentary = " ".join(sentences)
+    assert oracle_extract(commentary) == linear_oracle_extract(commentary)
 
 
 # --- generator ---------------------------------------------------------------------
