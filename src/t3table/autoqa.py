@@ -3,14 +3,14 @@ implementations (deterministic stubs and LLM-backed versions)."""
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from .backends import Backend, LlmRequest
-from .evaluation import QaPair, exact_match_judge
+from .evaluation import QaPair, exact_match_judge, substring_table_answerer
+from .jsonl import read_jsonl
 
 DEFAULT_QA_PAIRS = 20
 
@@ -25,34 +25,13 @@ class QaDocument:
 
 
 def load_documents(path: str | Path) -> list[QaDocument]:
-    docs: list[QaDocument] = []
-    seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "id" not in record or "text" not in record:
-                raise ValueError(f"{path}:{line_no}: document needs id and text")
-            doc_id = str(record["id"])
-            if doc_id in seen:
-                raise ValueError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            docs.append(QaDocument(id=doc_id, text=record["text"], qa=tuple(record.get("qa") or ())))
-    return docs
+    return read_jsonl(
+        path, lambda r: QaDocument(id=str(r["id"]), text=r["text"], qa=tuple(r.get("qa") or ()))
+    )
 
 
 def load_tables(path: str | Path) -> dict[str, str]:
-    tables: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "id" not in record or "table" not in record:
-                raise ValueError(f"{path}:{line_no}: table row needs id and table")
-            tables[str(record["id"])] = record["table"]
-    return tables
+    return dict(read_jsonl(path, lambda r: (str(r["id"]), r["table"])))
 
 
 # --- deterministic stub components ------------------------------------------------
@@ -77,7 +56,7 @@ def stub_components(doc: QaDocument):
     def answerer(table_render: str, pair: QaPair) -> str:
         if pair.question in overrides:
             return overrides[pair.question]
-        return pair.reference_answer if pair.reference_answer in table_render else ""
+        return substring_table_answerer(table_render, pair)
 
     return qa_gen, answerer, exact_match_judge
 

@@ -16,9 +16,10 @@ from .autoqa import LlmQa, load_documents, load_tables, stub_components
 from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, zero_table_stub
 from .config import BackendSettings, parse_config_file
 from .evaluation import curve_to_csv, render_report_text, report
+from .jsonl import DatasetError
 from .model import EVENT_ORDER, EventType
 from .pipeline import read_transcripts, run_batch, write_transcripts
-from .synth import DatasetError, GeneratorConfig, generate_with_scripts, oracle_extract, read_dataset, write_dataset
+from .synth import GeneratorConfig, generate_with_scripts, oracle_extract, read_dataset, write_dataset
 from .tableio import to_csv
 from .tuples import primary_event
 
@@ -29,6 +30,14 @@ class DataError(click.ClickException):
 
 class BackendExhausted(click.ClickException):
     exit_code = 4
+
+
+def _load(read, path: str):
+    """``read(path)``; a file that cannot be read or decoded is a data error."""
+    try:
+        return read(path)
+    except (OSError, DatasetError) as exc:
+        raise DataError(f"cannot load inputs: {exc}")
 
 
 @click.group()
@@ -132,10 +141,7 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
         raise click.UsageError(str(exc))
     settings = _load_settings(config_path).merged_with(parallelism=parallelism, cache_dir=cache_dir)
     backend = _build_backend(backend_kind, settings)
-    try:
-        dataset = read_dataset(dataset_path)
-    except (OSError, DatasetError) as exc:
-        raise DataError(str(exc))
+    dataset = _load(read_dataset, dataset_path)
 
     def progress(done: int, total: int) -> None:
         if not quiet and (done % 25 == 0 or done == total):
@@ -173,11 +179,8 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
               help="Average per-instance metrics instead of pooling cells.")
 def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_instance_average: bool) -> None:
     """Score transcripts against dataset ground truth."""
-    try:
-        transcripts = read_transcripts(transcripts_path)
-        dataset = read_dataset(dataset_path)
-    except (OSError, DatasetError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot load inputs: {exc}")
+    transcripts = _load(read_transcripts, transcripts_path)
+    dataset = _load(read_dataset, dataset_path)
     truth = {inst.id: inst.ground_truth for inst in dataset if inst.ground_truth is not None}
     missing = [t.instance_id for t in transcripts if t.instance_id not in truth]
     if missing:
@@ -190,7 +193,7 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
     )
     click.echo(render_report_text(rep))
     if out is not None:
-        payload = evaluation.report_to_json_dict(rep)
+        payload = rep.to_json_dict()
         instances = []
         for t in transcripts:
             if t.outcome.is_ok:
@@ -217,11 +220,8 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
 def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path: str | None,
            out: str, curve_out: str | None, n_pairs: int) -> None:
     """Auto-QA coverage of generated tables against their source documents."""
-    try:
-        documents = load_documents(documents_path)
-        tables = load_tables(tables_path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load inputs: {exc}")
+    documents = _load(load_documents, documents_path)
+    tables = _load(load_tables, tables_path)
     missing = [d.id for d in documents if d.id not in tables]
     if missing:
         raise DataError("documents without a table: " + ", ".join(sorted(missing)))
@@ -272,11 +272,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
 @click.option("--id", "instance_id", required=True)
 def inspect(transcripts_path: str, dataset_path: str, instance_id: str) -> None:
     """Pretty-print one transcript with stage-by-stage diffs against ground truth."""
-    try:
-        transcripts = {t.instance_id: t for t in read_transcripts(transcripts_path)}
-        dataset = {inst.id: inst for inst in read_dataset(dataset_path)}
-    except (OSError, DatasetError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot load inputs: {exc}")
+    transcripts = {t.instance_id: t for t in _load(read_transcripts, transcripts_path)}
+    dataset = {inst.id: inst for inst in _load(read_dataset, dataset_path)}
     if instance_id not in transcripts:
         raise DataError(f"no transcript for id {instance_id!r}")
     if instance_id not in dataset:
@@ -316,7 +313,7 @@ def inspect(transcripts_path: str, dataset_path: str, instance_id: str) -> None:
     for cell, got, want in diffs:
         click.echo(f"    {cell.team.display} {cell.event.column_header}: predicted {got}, truth {want}")
     if inst.meta.get("bank"):
-        taxonomy = evaluation.diagnose(t, oracle_extract(inst.commentary))
+        taxonomy = evaluation.diagnose_tuples(t.tuples, oracle_extract(inst.commentary))
         click.echo(
             "  tuple diff vs oracle extraction: "
             f"missing {taxonomy.total_missing}, wrong {taxonomy.total_wrong}, "

@@ -3,7 +3,6 @@ Auto-QA coverage with pre-screening, and tuple-level error taxonomy."""
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -293,8 +292,12 @@ class ErrorTaxonomy:
 
 
 def _key(t: EventTuple) -> tuple:
-    label = t.label.text if isinstance(t.label, Unknown) else t.label
-    return (t.player, t.team, label)
+    return (t.player, t.team, t.label)
+
+
+def _walk_order(item: tuple[tuple, int]) -> tuple:
+    (player, team, label), _ = item
+    return (player or "", team.value, label.value, isinstance(label, Unknown))
 
 
 def diagnose_tuples(
@@ -305,23 +308,24 @@ def diagnose_tuples(
     Exact matches cancel first; leftovers sharing an actor (player and team)
     pair up as wrong-label extractions; the rest are missing (truth only) or
     spurious (extracted only). Counts are filed under the label's primary
-    column, with wrong counted under the truth label.
+    column, with wrong counted under the truth label. Leftovers are walked in
+    one sorted order, so the order of either input moves no count.
     """
     ext = Counter(_key(t) for t in extracted)
     tru = Counter(_key(t) for t in truth)
-    ext_left = ext - tru
-    tru_left = tru - ext
+    ext_left = sorted((ext - tru).items(), key=_walk_order)
+    tru_left = sorted((tru - ext).items(), key=_walk_order)
 
     missing: Counter[EventType] = Counter()
     wrong: Counter[EventType] = Counter()
     spurious: Counter[EventType] = Counter()
 
     by_actor_ext: Counter[tuple] = Counter()
-    for (player, team, _label), n in ext_left.items():
+    for (player, team, _label), n in ext_left:
         by_actor_ext[(player, team)] += n
 
-    for (player, team, label), n in tru_left.items():
-        event = primary_event(label if not isinstance(label, str) else Unknown(label))
+    for (player, team, label), n in tru_left:
+        event = primary_event(label)
         paired = min(n, by_actor_ext[(player, team)])
         by_actor_ext[(player, team)] -= paired
         if event is not None:
@@ -331,25 +335,10 @@ def diagnose_tuples(
                 missing[event] += n - paired
 
     # whatever extracted leftovers were not paired to a truth tuple
-    remaining_by_actor = dict(by_actor_ext)
-    for (player, team, label), n in ext_left.items():
-        take = min(n, remaining_by_actor.get((player, team), 0))
-        remaining_by_actor[(player, team)] = remaining_by_actor.get((player, team), 0) - take
-        event = primary_event(label if not isinstance(label, str) else Unknown(label))
+    for (player, team, label), n in ext_left:
+        take = min(n, by_actor_ext[(player, team)])
+        by_actor_ext[(player, team)] -= take
+        event = primary_event(label)
         if event is not None and take:
             spurious[event] += take
     return ErrorTaxonomy(missing=dict(missing), wrong=dict(wrong), spurious=dict(spurious))
-
-
-def diagnose(transcript_or_tuples, truth_tuples: Iterable[EventTuple]) -> ErrorTaxonomy:
-    """Taxonomy for a transcript (or a plain tuple list) against oracle truth."""
-    extracted = getattr(transcript_or_tuples, "tuples", transcript_or_tuples)
-    return diagnose_tuples(extracted, truth_tuples)
-
-
-def report_to_json_dict(rep: EvalReport) -> dict:
-    return rep.to_json_dict()
-
-
-def report_to_json(rep: EvalReport) -> str:
-    return json.dumps(rep.to_json_dict(), indent=2)

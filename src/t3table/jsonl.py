@@ -1,0 +1,77 @@
+"""JSONL files: one JSON object per line, each with an id unique in its file.
+
+Datasets, transcripts and Auto-QA inputs share the format; their modules map
+records to objects, and every problem with a file is a DatasetError naming
+the line.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+from .model import SummaryTable
+
+T = TypeVar("T")
+
+
+class DatasetError(ValueError):
+    """Raised for malformed JSONL files; message names the offending line."""
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+    """``decode`` of every record in the file, in file order.
+
+    Blank lines are skipped. Invalid JSON, a line that is not an object, a
+    missing or duplicate id, and an AttributeError, KeyError, TypeError or
+    ValueError raised by ``decode`` (a field of the wrong type or value) all
+    raise DatasetError.
+    """
+    out: list[T] = []
+    seen: set[str] = set()
+    with Path(path).open("rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            at = f"at line {line_no} of {path}"
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"text that is not UTF-8 {at}") from exc
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"invalid JSON {at}: {exc.msg}") from exc
+            if not isinstance(record, dict) or "id" not in record:
+                raise DatasetError(f"record without an id {at}")
+            record_id = str(record["id"])
+            if record_id in seen:
+                raise DatasetError(f"duplicate id {record_id!r} {at}")
+            seen.add(record_id)
+            try:
+                out.append(decode(record))
+            except DatasetError as exc:
+                raise DatasetError(f"{exc} {at}") from exc
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DatasetError(f"bad record {at}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """One compact JSON object per line, non-ASCII kept as UTF-8."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def table_to_rows(table: SummaryTable) -> list[list[int]]:
+    """A table as JSON: the home row, then the away row."""
+    return [list(row) for row in table.counts]
+
+
+def table_from_rows(rows: object) -> SummaryTable:
+    """Inverse of table_to_rows; anything but two lists of eight raises DatasetError."""
+    if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 8 for r in rows)):
+        raise DatasetError("bad table shape")
+    return SummaryTable((tuple(rows[0]), tuple(rows[1])))

@@ -82,6 +82,16 @@ _TEAM_POS: dict[TeamSide, int] = {team: i for i, team in enumerate(TEAM_ORDER)}
 _EVENT_POS: dict[EventType, int] = {event: i for i, event in enumerate(EVENT_ORDER)}
 
 
+def team_named(text: str) -> TeamSide | None:
+    """The team a free-text field names: "home" anywhere wins, then "away"."""
+    folded = text.lower()
+    if "home" in folded:
+        return TeamSide.HOME
+    if "away" in folded:
+        return TeamSide.AWAY
+    return None
+
+
 class RawEventLabel(Enum):
     """Surface event labels as they appear in extracted tuples."""
 
@@ -107,6 +117,11 @@ class Unknown:
     """An event label that did not resolve; carried as a value, never an error."""
 
     text: str
+
+    @property
+    def value(self) -> str:
+        """The surface text, so ``label.value`` reads the same for both label kinds."""
+        return self.text
 
 
 def _fold(text: str) -> str:
@@ -144,11 +159,14 @@ def known_label_keys() -> frozenset[str]:
     return frozenset(_SYNONYMS)
 
 
-_PLAYER_TAG = re.compile(r"Player[1-9]\d*\Z")
+# Player<n> with n >= 1; every pattern that finds player tags builds on it.
+PLAYER_TAG_PATTERN = r"Player[1-9]\d*"
+_PLAYER_TAG = re.compile(PLAYER_TAG_PATTERN + r"\Z")
 
 
 @lru_cache(maxsize=1024)
-def _is_player_tag(text: str) -> bool:
+def is_player_tag(text: str) -> bool:
+    """Whether ``text`` is exactly one Player<n> tag."""
     return _PLAYER_TAG.match(text) is not None
 
 
@@ -161,7 +179,7 @@ class EventTuple:
     player: str | None = None
 
     def __post_init__(self) -> None:
-        if self.player is not None and not _is_player_tag(self.player):
+        if self.player is not None and not is_player_tag(self.player):
             raise ValueError(f"player must look like Player<n>, got {self.player!r}")
 
 

@@ -9,7 +9,6 @@ replayed through the parsers.
 
 from __future__ import annotations
 
-import json
 import random
 import subprocess
 import threading
@@ -20,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
+from .jsonl import read_jsonl, table_from_rows, table_to_rows, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -54,8 +54,7 @@ def render_tuples_table(tuples: Iterable[EventTuple]) -> str:
     """The truncated pipeline's output: extracted tuples themselves as a table."""
     lines = ["Player,Team,Event"]
     for t in tuples:
-        label = t.label.text if isinstance(t.label, Unknown) else t.label.value
-        lines.append(f"{t.player or ''},{t.team.display},{label}")
+        lines.append(f"{t.player or ''},{t.team.display},{t.label.value}")
     return "\n".join(lines)
 
 
@@ -254,17 +253,11 @@ def replay_outcome(transcript: RunTranscript) -> ParsedTableOutcome:
 
 # --- transcript files -----------------------------------------------------------
 
-def _label_to_json(label: RawEventLabel | Unknown) -> dict:
-    if isinstance(label, Unknown):
-        return {"event": label.text, "known": False}
-    return {"event": label.value, "known": True}
-
-
 def transcript_to_dict(t: RunTranscript) -> dict:
     outcome: dict
     if t.outcome.is_ok:
         assert t.outcome.table is not None
-        outcome = {"table": [list(t.outcome.table.row(side)) for side in TeamSide]}
+        outcome = {"table": table_to_rows(t.outcome.table)}
     else:
         outcome = {"malformed": {"code": t.outcome.reason_code, "detail": t.outcome.detail}}
     return {
@@ -281,7 +274,12 @@ def transcript_to_dict(t: RunTranscript) -> dict:
             for s in t.stages
         ],
         "tuples": [
-            {"player": tp.player, "team": tp.team.display, **_label_to_json(tp.label)}
+            {
+                "player": tp.player,
+                "team": tp.team.display,
+                "event": tp.label.value,
+                "known": isinstance(tp.label, RawEventLabel),
+            }
             for tp in t.tuples
         ],
         "rejected_lines": [[line, reason] for line, reason in t.rejected_lines],
@@ -292,17 +290,19 @@ def transcript_to_dict(t: RunTranscript) -> dict:
     }
 
 
+# Read once per tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
+_TEAM_BY_DISPLAY: dict[str, TeamSide] = {team.display: team for team in TeamSide}
+_LABEL_BY_VALUE: dict[str, RawEventLabel] = {label.value: label for label in RawEventLabel}
+
+
 def _tuple_from_dict(d: dict) -> EventTuple:
-    team = TeamSide.HOME if d["team"] == TeamSide.HOME.display else TeamSide.AWAY
-    label: RawEventLabel | Unknown
-    label = RawEventLabel(d["event"]) if d.get("known", True) else Unknown(d["event"])
-    return EventTuple(team=team, label=label, player=d.get("player"))
+    label = _LABEL_BY_VALUE[d["event"]] if d.get("known", True) else Unknown(d["event"])
+    return EventTuple(team=_TEAM_BY_DISPLAY[d["team"]], label=label, player=d.get("player"))
 
 
 def transcript_from_dict(d: dict) -> RunTranscript:
     if "table" in d["outcome"]:
-        rows = d["outcome"]["table"]
-        outcome = ParsedTableOutcome.ok(SummaryTable(tuple(tuple(r) for r in rows)))
+        outcome = ParsedTableOutcome.ok(table_from_rows(d["outcome"]["table"]))
     else:
         m = d["outcome"]["malformed"]
         outcome = ParsedTableOutcome.malformed(m["code"], m["detail"])
@@ -329,17 +329,8 @@ def transcript_from_dict(d: dict) -> RunTranscript:
 
 
 def write_transcripts(transcripts: Iterable[RunTranscript], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        for t in transcripts:
-            f.write(json.dumps(transcript_to_dict(t), ensure_ascii=False) + "\n")
+    write_jsonl(map(transcript_to_dict, transcripts), path)
 
 
 def read_transcripts(path: str | Path) -> list[RunTranscript]:
-    out: list[RunTranscript] = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(transcript_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, transcript_from_dict)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .model import EVENT_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, Unknown
+from .model import EVENT_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
 from .tableio import event_named, to_csv
 
 Message = tuple[str, str]
@@ -170,11 +170,10 @@ def render_tuple_lines(tuples: Iterable[EventTuple]) -> str:
     """Stage-1 style tuple listing, one (player, team, event) per line."""
     lines = []
     for t in tuples:
-        label = t.label.text if isinstance(t.label, Unknown) else t.label.value
         if t.player:
-            lines.append(f"({t.player}, {t.team.display}, {label})")
+            lines.append(f"({t.player}, {t.team.display}, {t.label.value})")
         else:
-            lines.append(f"({t.team.display}, {label})")
+            lines.append(f"({t.team.display}, {t.label.value})")
     return "\n".join(lines)
 
 
@@ -200,8 +199,7 @@ def parse_count_tuples(text: str) -> SummaryTable | None:
         if len(parts) != 3:
             continue
         team_text, event_text, count_text = parts
-        folded = team_text.lower()
-        team = TeamSide.HOME if "home" in folded else TeamSide.AWAY if "away" in folded else None
+        team = team_named(team_text)
         event = event_named(event_text)
         if team is None or event is None or not count_text.isdigit():
             continue

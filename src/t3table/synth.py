@@ -19,13 +19,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# DatasetError is what read_dataset raises; importers catch it from here too
+from .jsonl import DatasetError, read_jsonl, table_from_rows, table_to_rows, write_jsonl
 from .model import (
     EVENT_ORDER,
+    PLAYER_TAG_PATTERN,
     EventTuple,
     EventType,
     MatchInstance,
     RawEventLabel,
-    SummaryTable,
     TeamSide,
 )
 from .tuples import integrate
@@ -105,8 +107,8 @@ class _Entry:
 def _pattern_for(text: str, slots: Mapping[str, Sequence[str]]) -> re.Pattern[str]:
     pat = re.escape(text)
     named = {
-        "player": r"(?P<p1>Player\d+)\((?P<p1t>Home|Away) Team\)",
-        "player2": r"(?P<p2>Player\d+)\((?P<p2t>Home|Away) Team\)",
+        "player": rf"(?P<p1>{PLAYER_TAG_PATTERN})\((?P<p1t>Home|Away) Team\)",
+        "player2": rf"(?P<p2>{PLAYER_TAG_PATTERN})\((?P<p2t>Home|Away) Team\)",
         "team": r"(?P<team>Home|Away) Team",
         "opponent": r"(?P<opp>Home|Away) Team",
         "scoreline": r"Home Team \d+, Away Team \d+",
@@ -430,7 +432,7 @@ def generate(cfg: GeneratorConfig, n: int) -> list[MatchInstance]:
 
 # --- oracle extraction ---------------------------------------------------------
 
-_PLAYER_IN_TEXT = re.compile(r"(Player\d+)\((Home|Away) Team\)")
+_PLAYER_IN_TEXT = re.compile(rf"({PLAYER_TAG_PATTERN})\((Home|Away) Team\)")
 
 _SIDE = {"Home": TeamSide.HOME, "Away": TeamSide.AWAY}
 
@@ -563,69 +565,28 @@ def anonymize(
 
 # --- dataset files ---------------------------------------------------------------
 
-class DatasetError(ValueError):
-    """Raised for malformed dataset files; message names the offending line."""
+def _instance_to_record(inst: MatchInstance) -> dict:
+    return {
+        "id": inst.id,
+        "commentary": inst.commentary,
+        "table": table_to_rows(inst.ground_truth) if inst.ground_truth else None,
+        "meta": dict(inst.meta),
+    }
+
+
+def _instance_from_record(record: dict) -> MatchInstance:
+    table = record.get("table")
+    return MatchInstance(
+        id=str(record["id"]),
+        commentary=record["commentary"],
+        ground_truth=None if table is None else table_from_rows(table),
+        meta={str(k): str(v) for k, v in (record.get("meta") or {}).items()},
+    )
 
 
 def write_dataset(instances: Iterable[MatchInstance], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        for inst in instances:
-            table = [list(inst.ground_truth.row(t)) for t in TeamSide] if inst.ground_truth else None
-            record = {
-                "id": inst.id,
-                "commentary": inst.commentary,
-                "table": table,
-                "meta": dict(inst.meta),
-            }
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _table_from_json(value: object, line_no: int) -> SummaryTable | None:
-    if value is None:
-        return None
-    ok = (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(row, list) and len(row) == 8 for row in value)
-    )
-    if not ok:
-        raise DatasetError(f"bad table shape at line {line_no}")
-    try:
-        return SummaryTable(tuple(tuple(row) for row in value))
-    except (ValueError, TypeError) as exc:
-        raise DatasetError(f"bad table at line {line_no}: {exc}") from exc
+    write_jsonl(map(_instance_to_record, instances), path)
 
 
 def read_dataset(path: str | Path) -> list[MatchInstance]:
-    instances: list[MatchInstance] = []
-    seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON at line {line_no}: {exc.msg}") from exc
-            if not isinstance(record, dict) or "id" not in record or "commentary" not in record:
-                raise DatasetError(f"missing id/commentary at line {line_no}")
-            instance_id = str(record["id"])
-            if instance_id in seen:
-                raise DatasetError(f"duplicate id {instance_id!r} at line {line_no}")
-            seen.add(instance_id)
-            try:
-                instances.append(
-                    MatchInstance(
-                        id=instance_id,
-                        commentary=record["commentary"],
-                        ground_truth=_table_from_json(record.get("table"), line_no),
-                        meta={str(k): str(v) for k, v in (record.get("meta") or {}).items()},
-                    )
-                )
-            except ValueError as exc:
-                if isinstance(exc, DatasetError):
-                    raise
-                raise DatasetError(f"bad instance at line {line_no}: {exc}") from exc
-    return instances
+    return read_jsonl(path, _instance_from_record)

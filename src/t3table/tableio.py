@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import EVENT_ORDER, EventType, SummaryTable, TeamSide
+from .model import EVENT_ORDER, EventType, SummaryTable, TeamSide, team_named
 
 CSV_HEADER = "Team," + ",".join(e.column_header for e in EVENT_ORDER)
 
@@ -100,13 +100,11 @@ def _find_header(rows: list[list[str]]) -> tuple[int, dict[EventType, int]] | No
 
 def _team_of_row(row: list[str]) -> TeamSide | None:
     for cell in row:
-        folded = cell.lower()
         if _INT_CELL.match(cell.strip()):
             continue
-        if "home" in folded:
-            return TeamSide.HOME
-        if "away" in folded:
-            return TeamSide.AWAY
+        team = team_named(cell)
+        if team is not None:
+            return team
     return None
 
 

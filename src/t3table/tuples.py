@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 from .model import (
     EVENT_ORDER,
+    PLAYER_TAG_PATTERN,
     TEAM_ORDER,
     EventTuple,
     EventType,
@@ -16,7 +17,9 @@ from .model import (
     SummaryTable,
     TeamSide,
     Unknown,
+    is_player_tag,
     normalize_label,
+    team_named,
 )
 
 # Column increments applied per label. A goal is also a shot; a second yellow
@@ -63,19 +66,9 @@ class TupleParseReport:
 
 
 _PAREN_GROUP = re.compile(r"\(([^()]*)\)")
-_PLAYER_TAG = re.compile(r"\APlayer[1-9]\d*\Z")
 # anonymized tags sometimes leak into tuples as Player5(Home Team); their
 # parens break the tuple grammar, so strip the decoration up front
-_TAG_DECORATION = re.compile(r"(Player[1-9]\d*)\((?:Home|Away) Team\)")
-
-
-def _resolve_team(text: str) -> TeamSide | None:
-    folded = text.lower()
-    if "home" in folded:
-        return TeamSide.HOME
-    if "away" in folded:
-        return TeamSide.AWAY
-    return None
+_TAG_DECORATION = re.compile(rf"({PLAYER_TAG_PATTERN})\((?:Home|Away) Team\)")
 
 
 def parse_tuples(text: str) -> TupleParseReport:
@@ -104,11 +97,11 @@ def parse_tuples(text: str) -> TupleParseReport:
             else:
                 player_text = None
                 team_text, event_text = parts
-            team = _resolve_team(team_text)
+            team = team_named(team_text)
             if team is None:
                 rejected.append((line.strip(), "unresolvable team"))
                 continue
-            player = player_text if player_text and _PLAYER_TAG.match(player_text) else None
+            player = player_text if player_text and is_player_tag(player_text) else None
             label = normalize_label(event_text)
             if isinstance(label, Unknown):
                 unknown += 1

@@ -147,6 +147,23 @@ def test_eval_missing_ids_is_data_error(tmp_path, runner):
     assert "synth-1-00000" in result.output
 
 
+def test_corrupted_transcript_is_data_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    lines = transcripts.read_text("utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["stages"] = 5
+    lines[1] = json.dumps(record)
+    transcripts.write_text("\n".join(lines) + "\n", "utf-8")
+    for args in (["eval"], ["inspect", "--id", "synth-1-00000"]):
+        result = runner.invoke(main, [*args, "--transcripts", str(transcripts), "--dataset", str(data)])
+        assert result.exit_code == 3
+        assert "line 2" in result.output
+
+
 def test_eval_reports_filtered_count(tmp_path, runner):
     from t3table import prompts
     from t3table.backends import StubBackend

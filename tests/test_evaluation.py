@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from t3table.evaluation import (
     ALL_CELLS,
@@ -24,6 +26,7 @@ from t3table.model import (
     RawEventLabel,
     SummaryTable,
     TeamSide,
+    Unknown,
     difficulty_of,
 )
 from t3table.tableio import ParsedTableOutcome
@@ -295,3 +298,29 @@ def test_diagnose_mixed_case():
     assert taxonomy.wrong == {EventType.FOULS: 1}
     assert taxonomy.missing == {EventType.GOALS: 1}
     assert taxonomy.spurious == {EventType.OFFSIDES: 1}
+
+
+_small_tuple_lists = st.lists(
+    st.builds(
+        EventTuple,
+        team=st.sampled_from(TeamSide),
+        label=st.sampled_from(
+            [RawEventLabel.GOAL, RawEventLabel.CORNER_KICK, RawEventLabel.FOUL, Unknown("foul"), Unknown("throw in")]
+        ),
+        player=st.sampled_from([None, "Player1", "Player2"]),
+    ),
+    max_size=8,
+)
+
+
+@given(_small_tuple_lists, _small_tuple_lists, st.randoms(use_true_random=False))
+@example(
+    [t(HOME, RawEventLabel.GOAL, "Player1"), t(HOME, RawEventLabel.CORNER_KICK, "Player1")],
+    [t(HOME, RawEventLabel.FOUL, "Player1")],
+    random.Random(0),
+)
+def test_diagnose_ignores_tuple_order(extracted, truth, rnd):
+    expected = diagnose_tuples(extracted, truth).to_json_dict()
+    assert diagnose_tuples(extracted[::-1], truth[::-1]).to_json_dict() == expected
+    shuffled = diagnose_tuples(rnd.sample(extracted, len(extracted)), rnd.sample(truth, len(truth)))
+    assert shuffled.to_json_dict() == expected

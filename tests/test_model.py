@@ -17,6 +17,7 @@ from t3table.model import (
     difficulty_of,
     known_label_keys,
     normalize_label,
+    team_named,
 )
 
 
@@ -73,6 +74,7 @@ def test_normalize_label_unknown_keeps_text():
     # the second call is answered from the memo and must be equal
     for _ in range(2):
         assert normalize_label("throw-in") == Unknown("throw-in")
+    assert Unknown("throw-in").value == "throw-in"
 
 
 def test_throw_in_absent_from_synonym_map():
@@ -95,6 +97,20 @@ def test_team_side_display():
     assert TeamSide.HOME.display == "Home Team"
     assert TeamSide.AWAY.display == "Away Team"
     assert TeamSide.HOME.opponent is TeamSide.AWAY
+
+
+@pytest.mark.parametrize(
+    "text, team",
+    [
+        ("Home Team", TeamSide.HOME),
+        ("the AWAY side", TeamSide.AWAY),
+        ("home vs away", TeamSide.HOME),  # home wins
+        ("Visitors", None),
+        ("", None),
+    ],
+)
+def test_team_named(text, team):
+    assert team_named(text) is team
 
 
 def test_event_tuple_player_pattern():

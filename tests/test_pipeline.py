@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 import threading
 
 import pytest
@@ -21,7 +23,7 @@ from t3table.pipeline import (
     run_instance,
     write_transcripts,
 )
-from t3table.synth import GeneratorConfig, generate
+from t3table.synth import GeneratorConfig, generate, oracle_extract
 from t3table.tableio import to_csv
 
 from conftest import case_table
@@ -150,6 +152,16 @@ def test_replay_backend_without_inner(tmp_path, synthetic):
     # a miss (different mode) is a contained backend error
     transcripts = run_batch(synthetic, prompts.T3_MERGED, replay)
     assert all(t.outcome.reason_code == "backend_error" for t in transcripts)
+
+
+def test_player0_tag_in_commentary_does_not_sink_the_batch(synthetic):
+    commentary = re.sub(r"Player\d+\(Home Team\)", "Player0(Home Team)", synthetic[0].commentary, count=1)
+    assert commentary != synthetic[0].commentary
+    assert all(tp.player != "Player0" for tp in oracle_extract(commentary))
+    broken = dataclasses.replace(synthetic[0], commentary=commentary)
+    (transcript,) = run_batch([broken], prompts.T3, OracleBackend())
+    assert transcript.instance_id == broken.id
+    assert transcript.outcome.is_ok
 
 
 def test_transcript_round_trip_and_replay(tmp_path, synthetic):
