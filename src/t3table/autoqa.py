@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .backends import Backend, LlmRequest
 from .evaluation import QaPair, exact_match_judge, substring_table_answerer
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, string_field
 
 DEFAULT_QA_PAIRS = 20
 
@@ -31,7 +31,7 @@ def load_documents(path: str | Path) -> list[QaDocument]:
 
 
 def load_tables(path: str | Path) -> dict[str, str]:
-    return dict(read_jsonl(path, lambda r: (str(r["id"]), r["table"])))
+    return dict(read_jsonl(path, lambda r: (str(r["id"]), string_field(r, "table"))))
 
 
 # --- deterministic stub components ------------------------------------------------

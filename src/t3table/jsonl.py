@@ -56,6 +56,14 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     return out
 
 
+def string_field(record: dict, key: str) -> str:
+    """``record[key]``, which must be a string; any other type is a TypeError."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     """One compact JSON object per line, non-ASCII kept as UTF-8."""
     path = Path(path)

@@ -14,12 +14,13 @@ import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
-from .jsonl import read_jsonl, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -290,14 +291,35 @@ def transcript_to_dict(t: RunTranscript) -> dict:
     }
 
 
-# Read once per tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
+# Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
 _TEAM_BY_DISPLAY: dict[str, TeamSide] = {team.display: team for team in TeamSide}
 _LABEL_BY_VALUE: dict[str, RawEventLabel] = {label.value: label for label in RawEventLabel}
 
 
+# A run's tuples repeat a small vocabulary (player tags x teams x labels);
+# the bound caps what a hostile file can make the cache hold. Exceptions are
+# not cached: an unknown team or label stays a KeyError, a bad tag a ValueError.
+@lru_cache(maxsize=4096)
+def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> EventTuple:
+    # an unknown label keeps its text, which must be a string: as cache keys
+    # 1 and True are equal, so a number would read back as the other
+    if not isinstance(event, str):
+        raise TypeError(f"event must be a string, got {type(event).__name__}")
+    label = _LABEL_BY_VALUE[event] if known else Unknown(event)
+    return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
+
+
 def _tuple_from_dict(d: dict) -> EventTuple:
-    label = _LABEL_BY_VALUE[d["event"]] if d.get("known", True) else Unknown(d["event"])
-    return EventTuple(team=_TEAM_BY_DISPLAY[d["team"]], label=label, player=d.get("player"))
+    return _decode_tuple(d["team"], d["event"], d.get("known", True), d.get("player"))
+
+
+def _prompt_from_list(pairs: list | None) -> tuple[Message, ...] | None:
+    if pairs is None:
+        return None
+    prompt = tuple((role, text) for role, text in pairs)
+    if not all(isinstance(role, str) and isinstance(text, str) for role, text in prompt):
+        raise TypeError("prompt must be a list of [role, text] string pairs")
+    return prompt
 
 
 def transcript_from_dict(d: dict) -> RunTranscript:
@@ -308,13 +330,13 @@ def transcript_from_dict(d: dict) -> RunTranscript:
         outcome = ParsedTableOutcome.malformed(m["code"], m["detail"])
     return RunTranscript(
         instance_id=d["id"],
-        mode=d["mode"],
+        mode=string_field(d, "mode"),
         stages=tuple(
             StageRecord(
                 stage=s["stage"],
                 kind=s["kind"],
-                prompt=tuple((role, text) for role, text in s["prompt"]) if s["prompt"] is not None else None,
-                response=s["response"],
+                prompt=_prompt_from_list(s["prompt"]),
+                response=string_field(s, "response"),
                 latency_s=s.get("latency_s", 0.0),
             )
             for s in d["stages"]

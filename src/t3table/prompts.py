@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .model import EVENT_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
 from .tableio import event_named, to_csv
+from .tuples import PAREN_GROUP
 
 Message = tuple[str, str]
 
@@ -179,8 +180,6 @@ def render_tuple_lines(tuples: Iterable[EventTuple]) -> str:
 
 _COUNT_NAMES: dict[EventType, str] = {e: e.value.lower() for e in EVENT_ORDER}
 
-_COUNT_LINE = re.compile(r"\(([^()]*)\)")
-
 
 def render_count_tuples(table: SummaryTable) -> str:
     """Integrated counts as (team, event, count) lines, canonical order."""
@@ -194,7 +193,7 @@ def render_count_tuples(table: SummaryTable) -> str:
 def parse_count_tuples(text: str) -> SummaryTable | None:
     """Inverse of render_count_tuples, tolerant of extra prose lines."""
     cells: dict[tuple[TeamSide, EventType], int] = {}
-    for group in _COUNT_LINE.findall(text):
+    for group in PAREN_GROUP.findall(text):
         parts = [p.strip() for p in group.split(",")]
         if len(parts) != 3:
             continue

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, read_jsonl, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import (
     EVENT_ORDER,
     PLAYER_TAG_PATTERN,
@@ -459,15 +459,23 @@ _FALLBACK_KEYWORDS: tuple[tuple[str, RawEventLabel], ...] = (
 )
 
 
+# Bank sentences name a small tuple vocabulary (sides x labels x player tags);
+# the bound caps what foreign text can make the cache hold.
+@lru_cache(maxsize=4096)
+def _tuple_of(side_text: str, label: RawEventLabel, player: str | None) -> EventTuple:
+    return EventTuple(team=_SIDE[side_text], label=label, player=player)
+
+
 def _entry_tuples(entry: _Entry, m: re.Match[str]) -> list[EventTuple]:
     out = []
     for label, who in entry.events:
         if who == "player":
-            out.append(EventTuple(team=_SIDE[m.group("p1t")], label=label, player=m.group("p1")))
+            side_text, player = m.group("p1t", "p1")
         elif who == "player2":
-            out.append(EventTuple(team=_SIDE[m.group("p2t")], label=label, player=m.group("p2")))
+            side_text, player = m.group("p2t", "p2")
         else:
-            out.append(EventTuple(team=_SIDE[m.group("team")], label=label, player=None))
+            side_text, player = m.group("team"), None
+        out.append(_tuple_of(side_text, label, player))
     return out
 
 
@@ -578,7 +586,7 @@ def _instance_from_record(record: dict) -> MatchInstance:
     table = record.get("table")
     return MatchInstance(
         id=str(record["id"]),
-        commentary=record["commentary"],
+        commentary=string_field(record, "commentary"),
         ground_truth=None if table is None else table_from_rows(table),
         meta={str(k): str(v) for k, v in (record.get("meta") or {}).items()},
     )

@@ -100,8 +100,6 @@ def _find_header(rows: list[list[str]]) -> tuple[int, dict[EventType, int]] | No
 
 def _team_of_row(row: list[str]) -> TeamSide | None:
     for cell in row:
-        if _INT_CELL.match(cell.strip()):
-            continue
         team = team_named(cell)
         if team is not None:
             return team

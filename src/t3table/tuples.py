@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .model import (
@@ -65,10 +66,33 @@ class TupleParseReport:
     unknown_label_count: int = 0
 
 
-_PAREN_GROUP = re.compile(r"\(([^()]*)\)")
+# one parenthesised group, the unit of both tuple and count-tuple listings
+PAREN_GROUP = re.compile(r"\(([^()]*)\)")
 # anonymized tags sometimes leak into tuples as Player5(Home Team); their
 # parens break the tuple grammar, so strip the decoration up front
 _TAG_DECORATION = re.compile(rf"({PLAYER_TAG_PATTERN})\((?:Home|Away) Team\)")
+
+
+# Model output spells a small tuple vocabulary (player tags x teams x labels)
+# over and over; the bound caps what junk output can make the cache hold.
+@lru_cache(maxsize=4096)
+def _read_group(group: str) -> EventTuple | str | None:
+    """The tuple a group spells, the reason it is rejected, or None for prose."""
+    parts = [p.strip() for p in group.split(",")]
+    if len(parts) < 2:
+        return None  # prose parenthetical, e.g. a player tag
+    if len(parts) > 3:
+        return "expected 2 or 3 fields"
+    if len(parts) == 3:
+        player_text, team_text, event_text = parts
+    else:
+        player_text = None
+        team_text, event_text = parts
+    team = team_named(team_text)
+    if team is None:
+        return "unresolvable team"
+    player = player_text if player_text and is_player_tag(player_text) else None
+    return EventTuple(team=team, label=normalize_label(event_text), player=player)
 
 
 def parse_tuples(text: str) -> TupleParseReport:
@@ -78,6 +102,7 @@ def parse_tuples(text: str) -> TupleParseReport:
     with fewer than two comma-separated fields are treated as prose, not
     rejected. Player fields that are not Player<n> tags are dropped (the team
     still counts); teams that resolve to neither home nor away reject the line.
+    Equal groups give the same (immutable) tuple object.
     """
     tuples: list[EventTuple] = []
     rejected: list[tuple[str, str]] = []
@@ -85,27 +110,16 @@ def parse_tuples(text: str) -> TupleParseReport:
     for line in text.splitlines():
         if " Team)" in line:  # every decorated tag ends so
             line = _TAG_DECORATION.sub(r"\1", line)
-        for group in _PAREN_GROUP.findall(line):
-            parts = [p.strip() for p in group.split(",")]
-            if len(parts) < 2:
-                continue  # prose parenthetical, e.g. a player tag
-            if len(parts) > 3:
-                rejected.append((line.strip(), "expected 2 or 3 fields"))
+        for group in PAREN_GROUP.findall(line):
+            read = _read_group(group)
+            if read is None:
                 continue
-            if len(parts) == 3:
-                player_text, team_text, event_text = parts
-            else:
-                player_text = None
-                team_text, event_text = parts
-            team = team_named(team_text)
-            if team is None:
-                rejected.append((line.strip(), "unresolvable team"))
+            if isinstance(read, str):
+                rejected.append((line.strip(), read))
                 continue
-            player = player_text if player_text and is_player_tag(player_text) else None
-            label = normalize_label(event_text)
-            if isinstance(label, Unknown):
+            if isinstance(read.label, Unknown):
                 unknown += 1
-            tuples.append(EventTuple(team=team, label=label, player=player))
+            tuples.append(read)
     return TupleParseReport(tuple(tuples), tuple(rejected), unknown)
 
 

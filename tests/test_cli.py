@@ -164,6 +164,48 @@ def test_corrupted_transcript_is_data_error(tmp_path, runner):
         assert "line 2" in result.output
 
 
+def _corrupt_line(path, line_no, edit):
+    lines = path.read_text("utf-8").splitlines()
+    record = json.loads(lines[line_no - 1])
+    edit(record)
+    lines[line_no - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+
+
+def test_run_with_non_string_commentary_is_data_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    _corrupt_line(data, 2, lambda r: r.update(commentary=5))
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                                  "--out", str(tmp_path / "t.jsonl"), "--quiet"])
+    assert result.exit_code == 3
+    assert "line 2" in result.output and "commentary must be a string" in result.output
+
+
+def test_inspect_with_non_string_response_is_data_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    _corrupt_line(transcripts, 2, lambda r: r["stages"][0].update(response=5))
+    result = runner.invoke(main, ["inspect", "--id", "synth-1-00000", "--transcripts", str(transcripts),
+                                  "--dataset", str(data)])
+    assert result.exit_code == 3
+    assert "line 2" in result.output and "response must be a string" in result.output
+
+
+def test_autoqa_with_non_string_table_is_data_error(tmp_path, runner):
+    docs, tables = _write_autoqa_fixtures(tmp_path)
+    _corrupt_line(tables, 3, lambda r: r.update(table=5))
+    result = runner.invoke(main, [
+        "autoqa", "--documents", str(docs), "--tables", str(tables),
+        "--out", str(tmp_path / "c.json"),
+    ])
+    assert result.exit_code == 3
+    assert "line 3" in result.output and "table must be a string" in result.output
+
+
 def test_eval_reports_filtered_count(tmp_path, runner):
     from t3table import prompts
     from t3table.backends import StubBackend

@@ -11,7 +11,8 @@ from t3table import prompts
 from t3table.autoqa import load_documents, load_tables
 from t3table.backends import OracleBackend
 from t3table.jsonl import DatasetError
-from t3table.pipeline import RunTranscript, read_transcripts, run_batch, write_transcripts
+from t3table.model import EventTuple, RawEventLabel, TeamSide
+from t3table.pipeline import RunTranscript, _decode_tuple, read_transcripts, run_batch, write_transcripts
 from t3table.synth import GeneratorConfig, generate, read_dataset
 
 
@@ -39,6 +40,30 @@ def test_read_transcripts_rejects_unknown_team(tmp_path):
     path.write_text("\n".join(lines) + "\n", "utf-8")
     with pytest.raises(DatasetError, match="bad record at line 2 .*KeyError: .Visitors."):
         read_transcripts(path)
+
+
+def test_equal_tuple_records_decode_to_one_object(tmp_path):
+    path = tmp_path / "t.jsonl"
+    goal = EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player3")
+    write_transcripts(
+        [RunTranscript(instance_id=i, mode="t2", stages=(), tuples=(goal, goal)) for i in "ab"], path
+    )
+    a, b = read_transcripts(path)
+    assert a.tuples == (goal, goal)
+    assert a.tuples[0] is a.tuples[1] is b.tuples[0]
+
+
+def test_tuple_decode_cache_stays_bounded(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tuples = tuple(
+        EventTuple(team=TeamSide.AWAY, label=RawEventLabel.FOUL, player=f"Player{i}") for i in range(1, 10_001)
+    )
+    write_transcripts([RunTranscript(instance_id="a", mode="t2", stages=(), tuples=tuples)], path)
+    _decode_tuple.cache_clear()
+    (transcript,) = read_transcripts(path)
+    assert transcript.tuples == tuples
+    info = _decode_tuple.cache_info()
+    assert info.currsize <= info.maxsize == 4096
 
 
 def test_read_dataset_rejects_meta_that_is_not_an_object(tmp_path):

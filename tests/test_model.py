@@ -113,6 +113,13 @@ def test_team_named(text, team):
     assert team_named(text) is team
 
 
+# \d is any Unicode decimal digit; no such character folds to a letter, so a
+# table cell of digits never names a team
+@given(st.from_regex(r"\A\s*\d+\s*\Z"))
+def test_team_named_ignores_integer_cells(cell):
+    assert team_named(cell) is None
+
+
 def test_event_tuple_player_pattern():
     EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player28")
     with pytest.raises(ValueError):

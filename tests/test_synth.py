@@ -24,6 +24,7 @@ from t3table.synth import (
     _SENTENCE_SPLIT,
     _best_effort,
     _entry_tuples,
+    _tuple_of,
 )
 from t3table.tuples import integrate, primary_event
 
@@ -352,3 +353,12 @@ def test_dataset_invalid_json_names_line(tmp_path):
     path.write_text('{"id": "a", "commentary": "x", "table": null}\n{broken\n')
     with pytest.raises(DatasetError, match="line 2"):
         read_dataset(path)
+
+
+def test_tuple_cache_stays_bounded():
+    # 10,000 distinct player tags through one bank template
+    _tuple_of.cache_clear()
+    tuples = oracle_extract(" ".join(f"Player{i}(Home Team) commits a foul." for i in range(1, 10_001)))
+    assert [t.player for t in tuples] == [f"Player{i}" for i in range(1, 10_001)]
+    info = _tuple_of.cache_info()
+    assert info.currsize <= info.maxsize == 4096

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -12,8 +13,11 @@ from t3table.model import (
     SummaryTable,
     TeamSide,
     Unknown,
+    is_player_tag,
+    normalize_label,
+    team_named,
 )
-from t3table.tuples import aggregate_majority, integrate, parse_tuples
+from t3table.tuples import TupleParseReport, _read_group, aggregate_majority, integrate, parse_tuples
 
 HOME, AWAY = TeamSide.HOME, TeamSide.AWAY
 
@@ -120,6 +124,94 @@ def test_parse_rejects_four_fields():
 def test_parse_empty_text():
     report = parse_tuples("")
     assert report.tuples == () and report.rejected_lines == ()
+
+
+# --- memoised group reading ------------------------------------------------------
+
+_REF_PAREN_GROUP = re.compile(r"\(([^()]*)\)")
+_REF_TAG_DECORATION = re.compile(r"(Player[1-9]\d*)\((?:Home|Away) Team\)")
+
+
+def reference_parse_tuples(text: str) -> TupleParseReport:
+    """parse_tuples as it was before groups were memoised: every group read afresh."""
+    tuples, rejected, unknown = [], [], 0
+    for line in text.splitlines():
+        if " Team)" in line:
+            line = _REF_TAG_DECORATION.sub(r"\1", line)
+        for group in _REF_PAREN_GROUP.findall(line):
+            parts = [p.strip() for p in group.split(",")]
+            if len(parts) < 2:
+                continue
+            if len(parts) > 3:
+                rejected.append((line.strip(), "expected 2 or 3 fields"))
+                continue
+            if len(parts) == 3:
+                player_text, team_text, event_text = parts
+            else:
+                player_text = None
+                team_text, event_text = parts
+            team = team_named(team_text)
+            if team is None:
+                rejected.append((line.strip(), "unresolvable team"))
+                continue
+            player = player_text if player_text and is_player_tag(player_text) else None
+            label = normalize_label(event_text)
+            if isinstance(label, Unknown):
+                unknown += 1
+            tuples.append(EventTuple(team=team, label=label, player=player))
+    return TupleParseReport(tuple(tuples), tuple(rejected), unknown)
+
+
+_decorated_tag = st.builds(
+    "Player{}({} Team)".format, st.integers(0, 40), st.sampled_from(["Home", "Away"])
+)
+_player_field = st.one_of(
+    st.integers(0, 40).map("Player{}".format),
+    _decorated_tag,
+    st.sampled_from(["", "John Smith", "player3", "Player01", " Player7 "]),
+)
+_team_field = st.sampled_from(
+    ["Home Team", "Away Team", " home ", "AWAY side", "Home and Away", "Blue Team", "Visitors", ""]
+)
+_label_field = st.one_of(
+    st.sampled_from([label.value for label in RawEventLabel]),
+    st.sampled_from(["Yellow Card!", "shots", " GOAL ", "throw-in", ""]),
+    st.text(alphabet="abcfgilorstuy -!", max_size=8),
+)
+_group = st.one_of(
+    st.builds("({}, {})".format, _team_field, _label_field),
+    st.builds("({}, {}, {})".format, _player_field, _team_field, _label_field),
+    st.builds("({}, {}, {}, {})".format, _player_field, _team_field, _label_field, _label_field),
+    st.sampled_from(["(what a game)", "(Player3)", "()", "(,)", "(Home Team)"]),
+    _decorated_tag.map("{} scores".format),
+    st.text(alphabet="(), HomeAwayTmfl1\t", max_size=12),
+)
+_line = st.builds(
+    lambda prefix, groups: prefix + " ".join(groups),
+    st.sampled_from(["", "1. ", "- ", "* ", "  "]),
+    st.lists(_group, max_size=4),
+)
+
+
+@given(st.lists(_line, max_size=6).map("\n".join))
+def test_parse_tuples_matches_reference_cold_and_warm(text):
+    expected = reference_parse_tuples(text)
+    _read_group.cache_clear()
+    assert parse_tuples(text) == expected
+    assert parse_tuples(text) == expected
+
+
+def test_equal_groups_share_one_tuple():
+    report = parse_tuples("(Player3, Home Team, goal)\n(Player3, Home Team, goal)")
+    assert report.tuples[0] is report.tuples[1]
+
+
+def test_group_cache_stays_bounded():
+    _read_group.cache_clear()
+    report = parse_tuples("\n".join(f"(junk{i}, Home Team, thing{i})" for i in range(10_000)))
+    assert report.unknown_label_count == 10_000
+    info = _read_group.cache_info()
+    assert info.currsize <= info.maxsize == 4096
 
 
 # --- integrate ----------------------------------------------------------------
