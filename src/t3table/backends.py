@@ -197,22 +197,36 @@ class CachingBackend:
     def _path(self, request: LlmRequest) -> Path:
         return self.cache_dir / f"{request.cache_key}.json"
 
-    def complete(self, request: LlmRequest) -> LlmResponse:
-        path = self._path(request)
-        if path.exists():
-            record = json.loads(path.read_text("utf-8"))
-            with self._lock:
-                self.hits += 1
-            r = record["response"]
+    @staticmethod
+    def _read(path: Path) -> LlmResponse | None:
+        """The response a cache entry holds; None if the entry does not decode."""
+        try:
+            r = json.loads(path.read_text("utf-8"))["response"]
+            if not isinstance(r["text"], str):
+                return None
             return LlmResponse(
                 text=r["text"],
                 prompt_tokens=r.get("prompt_tokens", 0),
                 completion_tokens=r.get("completion_tokens", 0),
                 latency_s=r.get("latency_s", 0.0),
             )
+        except (ValueError, KeyError, TypeError):  # bad JSON or UTF-8 is a ValueError
+            return None
+
+    def complete(self, request: LlmRequest) -> LlmResponse:
+        path = self._path(request)
+        stored = path.exists()
+        response = self._read(path) if stored else None
+        if response is not None:
+            with self._lock:
+                self.hits += 1
+            return response
+        # a missing entry and one that does not decode are both misses
         with self._lock:
             self.misses += 1
         if self.inner is None:
+            if stored:
+                raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {request.cache_key}")
         response = self.inner.complete(request)
         record = {

@@ -17,7 +17,7 @@ from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, z
 from .config import BackendSettings, parse_config_file
 from .evaluation import curve_to_csv, render_report_text, report
 from .jsonl import DatasetError
-from .model import EVENT_ORDER, EventType
+from .model import CELLS, EVENT_ORDER, EventType
 from .pipeline import read_transcripts, run_batch, write_transcripts
 from .synth import GeneratorConfig, generate_with_scripts, oracle_extract, read_dataset, write_dataset
 from .tableio import to_csv
@@ -304,14 +304,14 @@ def inspect(transcripts_path: str, dataset_path: str, instance_id: str) -> None:
     scores = evaluation.score_instance(table, inst.ground_truth)
     click.echo(f"  RMSE {scores.rmse():.3f}  error rate {scores.error_rate():.2f}%")
     diffs = [
-        (cell, table.get(cell.team, cell.event), inst.ground_truth.get(cell.team, cell.event))
-        for cell in evaluation.ALL_CELLS
-        if not scores.matches[cell]
+        (team, event, got, want)
+        for (team, event), got, want, match in zip(CELLS, table.counts, inst.ground_truth.counts, scores.matches)
+        if not match
     ]
     if not diffs:
         click.echo("  all 16 cells match ground truth")
-    for cell, got, want in diffs:
-        click.echo(f"    {cell.team.display} {cell.event.column_header}: predicted {got}, truth {want}")
+    for team, event, got, want in diffs:
+        click.echo(f"    {team.display} {event.column_header}: predicted {got}, truth {want}")
     if inst.meta.get("bank"):
         taxonomy = evaluation.diagnose_tuples(t.tuples, oracle_extract(inst.commentary))
         click.echo(

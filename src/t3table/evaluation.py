@@ -8,16 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from .model import (
-    EVENT_ORDER,
-    DifficultyGroup,
-    EventTuple,
-    EventType,
-    SummaryTable,
-    TeamSide,
-    Unknown,
-    events_in_group,
-)
+from .model import CELLS, DifficultyGroup, EventTuple, EventType, SummaryTable, Unknown, difficulty_of
 from .tableio import ParsedTableOutcome
 from .tuples import primary_event
 
@@ -25,42 +16,34 @@ GROUP_ORDER = (DifficultyGroup.EASY, DifficultyGroup.MEDIUM, DifficultyGroup.HAR
 AVERAGE = "Average"
 
 
-@dataclass(frozen=True, slots=True)
-class CellIndex:
-    team: TeamSide
-    event: EventType
-
-
-ALL_CELLS: tuple[CellIndex, ...] = tuple(
-    CellIndex(team, event) for team in TeamSide for event in EVENT_ORDER
+# Cells are positions in model.CELLS.
+ALL_CELLS: tuple[int, ...] = tuple(range(len(CELLS)))
+# The cells each row of a report pools: every difficulty group, then all.
+_SELECTIONS: tuple[tuple[str, tuple[int, ...]], ...] = (
+    *((g.value, tuple(i for i, (_, event) in enumerate(CELLS) if difficulty_of(event) is g)) for g in GROUP_ORDER),
+    (AVERAGE, ALL_CELLS),
 )
 
 
 @dataclass(frozen=True)
 class CellScores:
-    """Per-cell squared errors and exact-match flags for one instance."""
+    """Per-cell squared errors and exact-match flags for one instance, in CELLS order."""
 
-    squared_errors: Mapping[CellIndex, float]
-    matches: Mapping[CellIndex, bool]
+    squared_errors: tuple[float, ...]
+    matches: tuple[bool, ...]
 
-    def rmse(self, cells: Iterable[CellIndex] = ALL_CELLS) -> float:
+    def rmse(self, cells: Iterable[int] = ALL_CELLS) -> float:
         cells = tuple(cells)
         return math.sqrt(sum(self.squared_errors[c] for c in cells) / len(cells))
 
-    def error_rate(self, cells: Iterable[CellIndex] = ALL_CELLS) -> float:
+    def error_rate(self, cells: Iterable[int] = ALL_CELLS) -> float:
         cells = tuple(cells)
         return 100.0 * sum(not self.matches[c] for c in cells) / len(cells)
 
 
 def score_instance(pred: SummaryTable, truth: SummaryTable) -> CellScores:
-    squared: dict[CellIndex, float] = {}
-    matches: dict[CellIndex, bool] = {}
-    for cell in ALL_CELLS:
-        p = pred.get(cell.team, cell.event)
-        t = truth.get(cell.team, cell.event)
-        squared[cell] = float((p - t) ** 2)
-        matches[cell] = p == t
-    return CellScores(squared, matches)
+    pairs = tuple(zip(pred.counts, truth.counts))
+    return CellScores(tuple(float((p - t) ** 2) for p, t in pairs), tuple(p == t for p, t in pairs))
 
 
 @dataclass(frozen=True)
@@ -89,11 +72,6 @@ class EvalReport:
         }
 
 
-def _cells_of_group(group: DifficultyGroup) -> tuple[CellIndex, ...]:
-    events = set(events_in_group(group))
-    return tuple(c for c in ALL_CELLS if c.event in events)
-
-
 def report(
     pairs: Iterable[tuple[ParsedTableOutcome, SummaryTable]],
     per_instance_average: bool = False,
@@ -112,13 +90,8 @@ def report(
         assert outcome.table is not None
         scored.append(score_instance(outcome.table, truth))
 
-    selections: list[tuple[str, tuple[CellIndex, ...]]] = [
-        (g.value, _cells_of_group(g)) for g in GROUP_ORDER
-    ]
-    selections.append((AVERAGE, ALL_CELLS))
-
     groups: dict[str, GroupMetrics] = {}
-    for name, cells in selections:
+    for name, cells in _SELECTIONS:
         n_cells = len(cells) * len(scored)
         if not scored:
             groups[name] = GroupMetrics(rmse=None, error_rate=None, n_cells=0)

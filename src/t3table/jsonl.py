@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .model import SummaryTable
+from .model import TEAM_ORDER, SummaryTable
 
 T = TypeVar("T")
 
@@ -56,11 +56,22 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     return out
 
 
-def string_field(record: dict, key: str) -> str:
-    """``record[key]``, which must be a string; any other type is a TypeError."""
-    value = record[key]
+def string_field(record: dict, key: str, default: str | None = None) -> str:
+    """``record[key]``, which must be a string; any other type is a TypeError.
+
+    A missing key is a KeyError unless there is a default.
+    """
+    value = record[key] if default is None else record.get(key, default)
     if not isinstance(value, str):
         raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
+def number_field(record: dict, key: str, default: float | None = None) -> float:
+    """``record[key]``, which must be an int or a float (not a bool), as string_field."""
+    value = record[key] if default is None else record.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
     return value
 
 
@@ -75,11 +86,11 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
 
 def table_to_rows(table: SummaryTable) -> list[list[int]]:
     """A table as JSON: the home row, then the away row."""
-    return [list(row) for row in table.counts]
+    return [list(table.row(team)) for team in TEAM_ORDER]
 
 
 def table_from_rows(rows: object) -> SummaryTable:
     """Inverse of table_to_rows; anything but two lists of eight raises DatasetError."""
     if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 8 for r in rows)):
         raise DatasetError("bad table shape")
-    return SummaryTable((tuple(rows[0]), tuple(rows[1])))
+    return SummaryTable.from_rows(*rows)

@@ -58,10 +58,6 @@ def difficulty_of(event: EventType) -> DifficultyGroup:
     return _DIFFICULTY[event]
 
 
-def events_in_group(group: DifficultyGroup) -> tuple[EventType, ...]:
-    return tuple(e for e in EVENT_ORDER if _DIFFICULTY[e] is group)
-
-
 class TeamSide(Enum):
     HOME = "Home Team"
     AWAY = "Away Team"
@@ -77,9 +73,14 @@ class TeamSide(Enum):
 
 TEAM_ORDER: tuple[TeamSide, ...] = (TeamSide.HOME, TeamSide.AWAY)
 
-# Row and column of each team and event in a SummaryTable.
-_TEAM_POS: dict[TeamSide, int] = {team: i for i, team in enumerate(TEAM_ORDER)}
-_EVENT_POS: dict[EventType, int] = {event: i for i, event in enumerate(EVENT_ORDER)}
+# The cells of a SummaryTable in table order: the home row, then the away
+# row, each in EVENT_ORDER. This is the one statement of the layout; every
+# other module reads cells by position in it or through SummaryTable.
+CELLS: tuple[tuple[TeamSide, EventType], ...] = tuple((team, event) for team in TEAM_ORDER for event in EVENT_ORDER)
+CELL_POS: dict[tuple[TeamSide, EventType], int] = {cell: i for i, cell in enumerate(CELLS)}
+_ROWS: dict[TeamSide, slice] = {
+    team: slice(CELL_POS[team, EVENT_ORDER[0]], CELL_POS[team, EVENT_ORDER[-1]] + 1) for team in TEAM_ORDER
+}
 
 
 def team_named(text: str) -> TeamSide | None:
@@ -146,9 +147,6 @@ def _load_synonyms() -> dict[str, RawEventLabel]:
 _SYNONYMS: dict[str, RawEventLabel] = _load_synonyms()
 
 
-# Model output repeats a small label vocabulary; the bound caps what junk
-# output can make the cache hold.
-@lru_cache(maxsize=1024)
 def normalize_label(text: str) -> RawEventLabel | Unknown:
     """Resolve a surface event string to a canonical label, else Unknown(text)."""
     return _SYNONYMS.get(_fold(text), Unknown(text))
@@ -185,56 +183,47 @@ class EventTuple:
 
 @dataclass(frozen=True, slots=True)
 class SummaryTable:
-    """2 (teams) x 8 (event types) grid of non-negative integer counts."""
+    """2 (teams) x 8 (event types) non-negative integer counts, flat in CELLS order."""
 
-    counts: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 2 or any(len(row) != 8 for row in self.counts):
-            raise ValueError("summary table must be 2x8")
-        for row in self.counts:
-            for cell in row:
-                if not isinstance(cell, int) or isinstance(cell, bool) or cell < 0:
-                    raise ValueError(f"cells must be integers >= 0, got {cell!r}")
+        if len(self.counts) != len(CELLS):
+            raise ValueError(f"summary table must have {len(CELLS)} cells")
+        for cell in self.counts:
+            if not isinstance(cell, int) or isinstance(cell, bool) or cell < 0:
+                raise ValueError(f"cells must be integers >= 0, got {cell!r}")
 
     @classmethod
     def zero(cls) -> "SummaryTable":
-        return cls(((0,) * 8, (0,) * 8))
+        return cls((0,) * len(CELLS))
 
     @classmethod
     def from_rows(cls, home: Iterator[int] | list[int], away: Iterator[int] | list[int]) -> "SummaryTable":
-        return cls((tuple(home), tuple(away)))
+        home, away = tuple(home), tuple(away)
+        if len(home) != len(EVENT_ORDER) or len(away) != len(EVENT_ORDER):
+            raise ValueError("summary table must be 2x8")
+        return cls(home + away)
 
     @classmethod
     def from_cells(cls, cells: Mapping[tuple[TeamSide, EventType], int]) -> "SummaryTable":
-        return cls(
-            tuple(
-                tuple(cells.get((team, event), 0) for event in EVENT_ORDER)
-                for team in TEAM_ORDER
-            )
-        )
+        return cls(tuple(cells.get(cell, 0) for cell in CELLS))
 
     def get(self, team: TeamSide, event: EventType) -> int:
-        return self.counts[_TEAM_POS[team]][_EVENT_POS[event]]
+        return self.counts[CELL_POS[team, event]]
 
     def row(self, team: TeamSide) -> tuple[int, ...]:
-        return self.counts[_TEAM_POS[team]]
+        return self.counts[_ROWS[team]]
 
     def add(self, other: "SummaryTable") -> "SummaryTable":
-        return SummaryTable(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.counts, other.counts)
-            )
-        )
+        return SummaryTable(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
     def cells(self) -> Iterator[tuple[TeamSide, EventType, int]]:
-        for team, row in zip(TEAM_ORDER, self.counts):
-            for event, value in zip(EVENT_ORDER, row):
-                yield team, event, value
+        for (team, event), value in zip(CELLS, self.counts):
+            yield team, event, value
 
     def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+        return sum(self.counts)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
-from .jsonl import read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import number_field, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -67,13 +67,16 @@ def subprocess_integrator(command: Sequence[str], timeout_s: float = 30.0) -> In
     and writes (team, event, count) lines on stdout. Off by default."""
 
     def run(tuples: Sequence[EventTuple]) -> SummaryTable:
-        proc = subprocess.run(
-            list(command),
-            input=prompts.render_tuple_lines(tuples),
-            capture_output=True,
-            text=True,
-            timeout=timeout_s,
-        )
+        try:
+            proc = subprocess.run(
+                list(command),
+                input=prompts.render_tuple_lines(tuples),
+                capture_output=True,
+                text=True,
+                timeout=timeout_s,
+            )
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise BackendError(f"external integrator did not finish: {exc}") from exc
         if proc.returncode != 0:
             raise BackendError(f"external integrator failed ({proc.returncode}): {proc.stderr[:200]}")
         table = prompts.parse_count_tuples(proc.stdout)
@@ -168,8 +171,7 @@ def _all_events_occur(instance: MatchInstance) -> bool:
     table = instance.ground_truth
     if table is None:
         return False
-    home, away = table.counts  # rows in TEAM_ORDER, columns in EVENT_ORDER
-    return all(h + a >= 1 for h, a in zip(home, away))
+    return all(h + a >= 1 for h, a in zip(table.row(TeamSide.HOME), table.row(TeamSide.AWAY)))
 
 
 def pick_exemplars(
@@ -313,13 +315,11 @@ def _tuple_from_dict(d: dict) -> EventTuple:
     return _decode_tuple(d["team"], d["event"], d.get("known", True), d.get("player"))
 
 
-def _prompt_from_list(pairs: list | None) -> tuple[Message, ...] | None:
-    if pairs is None:
-        return None
-    prompt = tuple((role, text) for role, text in pairs)
-    if not all(isinstance(role, str) and isinstance(text, str) for role, text in prompt):
-        raise TypeError("prompt must be a list of [role, text] string pairs")
-    return prompt
+def _string_pairs(pairs: list, what: str) -> tuple[tuple[str, str], ...]:
+    out = tuple((a, b) for a, b in pairs)
+    if not all(isinstance(a, str) and isinstance(b, str) for a, b in out):
+        raise TypeError(f"{what} must be a list of [string, string] pairs")
+    return out
 
 
 def transcript_from_dict(d: dict) -> RunTranscript:
@@ -327,26 +327,26 @@ def transcript_from_dict(d: dict) -> RunTranscript:
         outcome = ParsedTableOutcome.ok(table_from_rows(d["outcome"]["table"]))
     else:
         m = d["outcome"]["malformed"]
-        outcome = ParsedTableOutcome.malformed(m["code"], m["detail"])
+        outcome = ParsedTableOutcome.malformed(string_field(m, "code"), string_field(m, "detail"))
     return RunTranscript(
         instance_id=d["id"],
         mode=string_field(d, "mode"),
         stages=tuple(
             StageRecord(
                 stage=s["stage"],
-                kind=s["kind"],
-                prompt=_prompt_from_list(s["prompt"]),
+                kind=string_field(s, "kind"),
+                prompt=None if s["prompt"] is None else _string_pairs(s["prompt"], "prompt"),
                 response=string_field(s, "response"),
-                latency_s=s.get("latency_s", 0.0),
+                latency_s=number_field(s, "latency_s", 0.0),
             )
             for s in d["stages"]
         ),
         tuples=tuple(_tuple_from_dict(tp) for tp in d.get("tuples", [])),
-        rejected_lines=tuple((line, reason) for line, reason in d.get("rejected_lines", [])),
-        unknown_label_count=d.get("unknown_label_count", 0),
-        final_table_text=d.get("final_table_text", ""),
+        rejected_lines=_string_pairs(d.get("rejected_lines", []), "rejected_lines"),
+        unknown_label_count=number_field(d, "unknown_label_count", 0),
+        final_table_text=string_field(d, "final_table_text", ""),
         outcome=outcome,
-        total_latency_s=d.get("latency_s", 0.0),
+        total_latency_s=number_field(d, "latency_s", 0.0),
     )
 
 

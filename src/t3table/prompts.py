@@ -183,11 +183,7 @@ _COUNT_NAMES: dict[EventType, str] = {e: e.value.lower() for e in EVENT_ORDER}
 
 def render_count_tuples(table: SummaryTable) -> str:
     """Integrated counts as (team, event, count) lines, canonical order."""
-    lines = []
-    for team in (TeamSide.HOME, TeamSide.AWAY):
-        for event in EVENT_ORDER:
-            lines.append(f"({team.display}, {_COUNT_NAMES[event]}, {table.get(team, event)})")
-    return "\n".join(lines)
+    return "\n".join(f"({team.display}, {_COUNT_NAMES[event]}, {n})" for team, event, n in table.cells())
 
 
 def parse_count_tuples(text: str) -> SummaryTable | None:

@@ -9,9 +9,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .model import (
-    EVENT_ORDER,
+    CELL_POS,
+    CELLS,
     PLAYER_TAG_PATTERN,
-    TEAM_ORDER,
     EventTuple,
     EventType,
     RawEventLabel,
@@ -44,12 +44,12 @@ LABEL_EFFECTS: dict[RawEventLabel, tuple[EventType, ...]] = {
     RawEventLabel.OFFSIDE: (EventType.OFFSIDES,),
 }
 
-# LABEL_EFFECTS as offsets into a table's 16 cells, row-major in TEAM_ORDER x
-# EVENT_ORDER: one map per team, so counting hashes only the label.
-_CELL_OFFSETS: tuple[dict[RawEventLabel, tuple[int, ...]], ...] = tuple(
-    {label: tuple(8 * row + EVENT_ORDER.index(e) for e in effects) for label, effects in LABEL_EFFECTS.items()}
-    for row in range(len(TEAM_ORDER))
-)
+# LABEL_EFFECTS as positions in a table's cells: one map per team, so
+# counting hashes only the label.
+_CELL_OFFSETS: dict[TeamSide, dict[RawEventLabel, tuple[int, ...]]] = {
+    team: {label: tuple(CELL_POS[team, e] for e in effects) for label, effects in LABEL_EFFECTS.items()}
+    for team in TeamSide
+}
 
 
 def primary_event(label: RawEventLabel | Unknown) -> EventType | None:
@@ -125,21 +125,21 @@ def parse_tuples(text: str) -> TupleParseReport:
 
 def integrate(tuples: Iterable[EventTuple]) -> SummaryTable:
     """Count tuples into a summary table. Unknown labels add nothing."""
-    cells = [0] * 16
-    home, away = _CELL_OFFSETS
+    cells = [0] * len(CELLS)
+    home, away = _CELL_OFFSETS[TeamSide.HOME], _CELL_OFFSETS[TeamSide.AWAY]
     for t in tuples:
         for k in (home if t.team is TeamSide.HOME else away).get(t.label, ()):
             cells[k] += 1
-    return SummaryTable((tuple(cells[:8]), tuple(cells[8:])))
+    return SummaryTable(tuple(cells))
 
 
 def aggregate_majority(tables: Sequence[SummaryTable]) -> SummaryTable:
     """Cell-wise majority vote; ties broken by the smallest tied value."""
     if not tables:
         raise ValueError("no annotations")
-    cells: dict[tuple[TeamSide, EventType], int] = {}
-    for team, event, _ in tables[0].cells():
-        votes = Counter(t.get(team, event) for t in tables)
+    cells = []
+    for values in zip(*(t.counts for t in tables)):
+        votes = Counter(values)
         top = max(votes.values())
-        cells[(team, event)] = min(v for v, n in votes.items() if n == top)
-    return SummaryTable.from_cells(cells)
+        cells.append(min(v for v, n in votes.items() if n == top))
+    return SummaryTable(tuple(cells))

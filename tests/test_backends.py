@@ -117,6 +117,30 @@ def test_caching_backend_stores_request_and_response(tmp_path):
     assert backend.hits == 1 and backend.misses == 1
 
 
+@pytest.mark.parametrize("entry", [b"{not json", b'{"response": {"text": 5}}', b"[]", b"\xff"],
+                         ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8"])
+def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
+    inner = b.StubBackend("fresh")
+    backend = CachingBackend(tmp_path, inner)
+    request = _request("x")
+    path = tmp_path / f"{request.cache_key}.json"
+    path.write_bytes(entry)
+    assert backend.complete(request).text == "fresh"
+    assert inner.calls == 1 and backend.misses == 1 and backend.hits == 0
+    assert json.loads(path.read_text("utf-8"))["response"]["text"] == "fresh"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # overwritten, no temp file left
+
+
+def test_cache_entry_that_does_not_decode_fails_replay(tmp_path):
+    request = _request("x")
+    path = tmp_path / f"{request.cache_key}.json"
+    path.write_text("{not json", "utf-8")
+    replay = CachingBackend(tmp_path, inner=None)
+    with pytest.raises(BackendError, match=path.name):
+        replay.complete(request)
+    assert replay.misses == 1 and replay.hits == 0
+
+
 def test_cache_key_sensitive_to_model_messages_temperature():
     base = _request("x")
     assert base.cache_key != LlmRequest("m2", base.messages, 0.0).cache_key
@@ -151,6 +175,28 @@ def test_subprocess_integrator_failure_is_backend_error():
     bad = subprocess_integrator([sys.executable, "-c", "import sys; sys.exit(3)"])
     with pytest.raises(BackendError, match="external integrator failed"):
         bad(())
+
+
+def test_subprocess_integrator_missing_binary_is_backend_error(tmp_path):
+    from t3table import prompts
+    from t3table.pipeline import run_batch
+    from t3table.synth import GeneratorConfig, generate
+
+    missing = subprocess_integrator([str(tmp_path / "no-such-integrator")])
+    transcripts = run_batch(generate(GeneratorConfig(seed=31), 2), prompts.T3, OracleBackend(), integrator=missing)
+    assert [t.outcome.reason_code for t in transcripts] == ["backend_error", "backend_error"]
+    assert "external integrator" in transcripts[0].outcome.detail
+
+
+def test_subprocess_integrator_timeout_is_backend_error():
+    from t3table import prompts
+    from t3table.pipeline import run_batch
+    from t3table.synth import GeneratorConfig, generate
+
+    slow = subprocess_integrator([sys.executable, "-c", "import time; time.sleep(10)"], timeout_s=0.2)
+    transcripts = run_batch(generate(GeneratorConfig(seed=31), 1), prompts.T3, OracleBackend(), integrator=slow)
+    assert transcripts[0].outcome.reason_code == "backend_error"
+    assert "timed out" in transcripts[0].outcome.detail
 
 
 def test_run_instance_uses_external_integrator():

@@ -147,21 +147,31 @@ def test_eval_missing_ids_is_data_error(tmp_path, runner):
     assert "synth-1-00000" in result.output
 
 
-def test_corrupted_transcript_is_data_error(tmp_path, runner):
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda r: r.update(stages=5), "TypeError", id="stages"),
+    pytest.param(lambda r: r.update(rejected_lines=[[5, 6]]), "rejected_lines must be", id="rejected_lines"),
+    pytest.param(lambda r: r.update(latency_s="x"), "latency_s must be a number", id="latency_s"),
+    pytest.param(lambda r: r.update(final_table_text=5), "final_table_text must be a string", id="final_table_text"),
+    pytest.param(lambda r: r.update(unknown_label_count="x"), "unknown_label_count must be a number",
+                 id="unknown_label_count"),
+    pytest.param(lambda r: r["stages"][0].update(kind=5), "kind must be a string", id="stage_kind"),
+    pytest.param(lambda r: r["stages"][0].update(latency_s="x"), "latency_s must be a number", id="stage_latency_s"),
+    pytest.param(lambda r: r.update(outcome={"malformed": {"code": 5, "detail": "x"}}), "code must be a string",
+                 id="malformed_code"),
+    pytest.param(lambda r: r.update(outcome={"malformed": {"code": "x", "detail": 5}}), "detail must be a string",
+                 id="malformed_detail"),
+])
+def test_corrupted_transcript_is_data_error(tmp_path, runner, edit, message):
     data = tmp_path / "data.jsonl"
     transcripts = tmp_path / "t.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
     invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
                     "--out", str(transcripts), "--quiet"])
-    lines = transcripts.read_text("utf-8").splitlines()
-    record = json.loads(lines[1])
-    record["stages"] = 5
-    lines[1] = json.dumps(record)
-    transcripts.write_text("\n".join(lines) + "\n", "utf-8")
+    _corrupt_line(transcripts, 2, edit)
     for args in (["eval"], ["inspect", "--id", "synth-1-00000"]):
         result = runner.invoke(main, [*args, "--transcripts", str(transcripts), "--dataset", str(data)])
         assert result.exit_code == 3
-        assert "line 2" in result.output
+        assert "line 2" in result.output and message in result.output
 
 
 def _corrupt_line(path, line_no, edit):

@@ -20,6 +20,7 @@ from t3table.evaluation import (
     substring_table_answerer,
 )
 from t3table.model import (
+    CELLS,
     DifficultyGroup,
     EventTuple,
     EventType,
@@ -48,7 +49,7 @@ def test_identical_tables_score_zero():
     scores = score_instance(EXAMPLE_TRUTH, EXAMPLE_TRUTH)
     assert scores.rmse() == 0.0
     assert scores.error_rate() == 0.0
-    assert all(scores.matches.values())
+    assert all(scores.matches)
 
 
 @pytest.mark.parametrize("name", sorted(CASE_STUDY))
@@ -127,7 +128,7 @@ def test_group_recombination_identity():
     # Average MSE must equal the cell-count weighted mean of group MSEs.
     rnd = random.Random(7)
     group_cells = {
-        g: [c for c in ALL_CELLS if difficulty_of(c.event) is g] for g in DifficultyGroup
+        g: [c for c in ALL_CELLS if difficulty_of(CELLS[c][1]) is g] for g in DifficultyGroup
     }
     assert {g: len(cs) for g, cs in group_cells.items()} == {
         DifficultyGroup.EASY: 4, DifficultyGroup.MEDIUM: 8, DifficultyGroup.HARD: 4,

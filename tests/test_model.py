@@ -135,7 +135,7 @@ def test_event_tuple_player_pattern():
 def test_summary_table_validation():
     SummaryTable.zero()
     with pytest.raises(ValueError):
-        SummaryTable(((0,) * 7, (0,) * 8))
+        SummaryTable((0,) * 15)
     with pytest.raises(ValueError):
         SummaryTable.from_rows([0, 0, 0, 0, 0, 0, 0, -1], [0] * 8)
     with pytest.raises(ValueError):
