@@ -18,7 +18,8 @@ AVERAGE = "Average"
 
 # Cells are positions in model.CELLS.
 ALL_CELLS: tuple[int, ...] = tuple(range(len(CELLS)))
-# The cells each row of a report pools: every difficulty group, then all.
+# The cells each group of a report pools: the difficulty groups, then all
+# cells for the average.
 _SELECTIONS: tuple[tuple[str, tuple[int, ...]], ...] = (
     *((g.value, tuple(i for i, (_, event) in enumerate(CELLS) if difficulty_of(event) is g)) for g in GROUP_ORDER),
     (AVERAGE, ALL_CELLS),

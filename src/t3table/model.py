@@ -78,6 +78,7 @@ TEAM_ORDER: tuple[TeamSide, ...] = (TeamSide.HOME, TeamSide.AWAY)
 # other module reads cells by position in it or through SummaryTable.
 CELLS: tuple[tuple[TeamSide, EventType], ...] = tuple((team, event) for team in TEAM_ORDER for event in EVENT_ORDER)
 CELL_POS: dict[tuple[TeamSide, EventType], int] = {cell: i for i, cell in enumerate(CELLS)}
+# Each team's row, as a slice of a table's cells.
 _ROWS: dict[TeamSide, slice] = {
     team: slice(CELL_POS[team, EVENT_ORDER[0]], CELL_POS[team, EVENT_ORDER[-1]] + 1) for team in TEAM_ORDER
 }
