@@ -1,117 +1,6 @@
 """Text-to-table pipeline toolkit: tuple extraction, integration, evaluation,
-and a seeded synthetic commentary generator with an exact oracle extractor."""
+and a seeded synthetic commentary generator with an exact oracle extractor.
 
-from .model import (
-    AnnotationSet,
-    DifficultyGroup,
-    EventTuple,
-    EventType,
-    MatchInstance,
-    RawEventLabel,
-    SummaryTable,
-    TeamSide,
-    Unknown,
-    difficulty_of,
-    normalize_label,
-)
-from .tuples import TupleParseReport, aggregate_majority, integrate, parse_tuples
-from .tableio import ParsedTableOutcome, parse_model_table, to_csv
-from .prompts import (
-    T2,
-    T3,
-    T3_DIRECT,
-    T3_MERGED,
-    ZERO_SHOT,
-    ZERO_SHOT_COT,
-    PipelineMode,
-    build_instruction,
-    build_prompt,
-    few_shot,
-    parse_mode,
-)
-from .backends import (
-    Backend,
-    BackendError,
-    CachingBackend,
-    HttpBackend,
-    LlmRequest,
-    LlmResponse,
-    OracleBackend,
-    StubBackend,
-)
-from .pipeline import RunTranscript, read_transcripts, run_batch, run_instance, write_transcripts
-from .evaluation import (
-    EvalReport,
-    QaPair,
-    autoqa_coverage,
-    coverage_curve,
-    report,
-    score_instance,
-)
-from .synth import (
-    GeneratorConfig,
-    anonymize,
-    generate,
-    generate_with_scripts,
-    oracle_extract,
-    read_dataset,
-    write_dataset,
-)
-
-__all__ = [
-    "AnnotationSet",
-    "Backend",
-    "BackendError",
-    "CachingBackend",
-    "DifficultyGroup",
-    "EvalReport",
-    "EventTuple",
-    "EventType",
-    "GeneratorConfig",
-    "HttpBackend",
-    "LlmRequest",
-    "LlmResponse",
-    "MatchInstance",
-    "OracleBackend",
-    "ParsedTableOutcome",
-    "PipelineMode",
-    "QaPair",
-    "RawEventLabel",
-    "RunTranscript",
-    "StubBackend",
-    "SummaryTable",
-    "T2",
-    "T3",
-    "T3_DIRECT",
-    "T3_MERGED",
-    "TeamSide",
-    "TupleParseReport",
-    "Unknown",
-    "ZERO_SHOT",
-    "ZERO_SHOT_COT",
-    "aggregate_majority",
-    "anonymize",
-    "autoqa_coverage",
-    "build_instruction",
-    "build_prompt",
-    "coverage_curve",
-    "difficulty_of",
-    "few_shot",
-    "generate",
-    "generate_with_scripts",
-    "integrate",
-    "normalize_label",
-    "oracle_extract",
-    "parse_mode",
-    "parse_model_table",
-    "parse_tuples",
-    "read_dataset",
-    "read_transcripts",
-    "report",
-    "run_batch",
-    "run_instance",
-    "score_instance",
-    "to_csv",
-    "write_dataset",
-    "write_transcripts",
-]
+The API lives in the submodules (``from t3table import synth``); the package
+root re-exports nothing, so importing one submodule loads only what it needs.
+"""

@@ -116,7 +116,13 @@ def run_instance(
     examples_block: str | None = None,
     integrator: Integrator | None = None,
 ) -> RunTranscript:
-    """Execute one instance through the mode's stage graph; never raises on backend failure."""
+    """Execute one instance through the mode's stage graph.
+
+    Never raises for one instance's fault: a ``BackendError`` ends it as a
+    ``backend_error`` outcome, and any other exception from the backend, the
+    integrator or a parser as ``raised_<ExceptionType>``. Only what is not an
+    ``Exception`` (KeyboardInterrupt, SystemExit) propagates.
+    """
     instruction = build_instruction()
     run = _Run(backend, model, temperature)
     report = TupleParseReport(())
@@ -154,6 +160,8 @@ def run_instance(
             raise ValueError(f"unhandled mode {mode.name}")
     except BackendError as exc:
         outcome = ParsedTableOutcome.malformed("backend_error", str(exc))
+    except Exception as exc:
+        outcome = ParsedTableOutcome.malformed(f"raised_{type(exc).__name__}", str(exc))
     return RunTranscript(
         instance_id=instance.id,
         mode=mode.name,
@@ -312,7 +320,18 @@ def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> Eve
 
 
 def _tuple_from_dict(d: dict) -> EventTuple:
-    return _decode_tuple(d["team"], d["event"], d.get("known", True), d.get("player"))
+    # checked before the memo: as cache keys 1 and True are equal
+    known = d.get("known", True)
+    if not isinstance(known, bool):
+        raise TypeError(f"known must be a bool, got {type(known).__name__}")
+    return _decode_tuple(d["team"], d["event"], known, d.get("player"))
+
+
+def _stage_number(s: dict) -> int:
+    stage = s["stage"]
+    if isinstance(stage, bool) or not isinstance(stage, int) or not 1 <= stage <= 3:
+        raise ValueError(f"stage must be an int from 1 to 3, got {stage!r}")
+    return stage
 
 
 def _string_pairs(pairs: list, what: str) -> tuple[tuple[str, str], ...]:
@@ -333,7 +352,7 @@ def transcript_from_dict(d: dict) -> RunTranscript:
         mode=string_field(d, "mode"),
         stages=tuple(
             StageRecord(
-                stage=s["stage"],
+                stage=_stage_number(s),
                 kind=string_field(s, "kind"),
                 prompt=None if s["prompt"] is None else _string_pairs(s["prompt"], "prompt"),
                 response=string_field(s, "response"),

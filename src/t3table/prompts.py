@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .model import EVENT_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
+from .model import EVENT_ORDER, TEAM_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
 from .tableio import event_named, to_csv
 from .tuples import PAREN_GROUP
 
@@ -220,7 +220,7 @@ def render_examples_block(exemplars: Sequence[MatchInstance], with_cot: bool) ->
 
 def _reasoning_text(table: SummaryTable) -> str:
     sentences = []
-    for team in (TeamSide.HOME, TeamSide.AWAY):
+    for team in TEAM_ORDER:
         counted = ", ".join(
             f"{table.get(team, event)} {_COUNT_NAMES[event]}" for event in EVENT_ORDER
         )

@@ -12,18 +12,17 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
 from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import (
     EVENT_ORDER,
     PLAYER_TAG_PATTERN,
+    TEAM_ORDER,
     EventTuple,
     EventType,
     MatchInstance,
@@ -31,6 +30,9 @@ from .model import (
     TeamSide,
 )
 from .tuples import integrate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MEANS: Mapping[EventType, float] = {
     EventType.GOALS: 1.38,
@@ -91,7 +93,19 @@ def tuples_of(script: Iterable[ScriptedEvent]) -> tuple[EventTuple, ...]:
 
 _PLACEHOLDER = re.compile(r"\{([a-z0-9_]+)\}")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
-_NAMED_SLOTS = {"player", "player2", "team", "opponent", "scoreline"}
+# What each named slot matches in the oracle's patterns; the generator fills
+# named slots from its context and draws the bank's flavor slots.
+_NAMED_GROUPS = {
+    "player": rf"(?P<p1>{PLAYER_TAG_PATTERN})\((?P<p1t>Home|Away) Team\)",
+    "player2": rf"(?P<p2>{PLAYER_TAG_PATTERN})\((?P<p2t>Home|Away) Team\)",
+    "team": r"(?P<team>Home|Away) Team",
+    "opponent": r"(?P<opp>Home|Away) Team",
+    "scoreline": r"Home Team \d+, Away Team \d+",
+}
+
+# A template's text split at its placeholders: literal, slot, literal, ...,
+# literal. A slot is a named slot's name or a flavor slot's options.
+_Parts = tuple["str | tuple[str, ...]", ...]
 
 
 @dataclass(frozen=True)
@@ -100,25 +114,19 @@ class _Entry:
     text: str
     events: tuple[tuple[RawEventLabel, str], ...]  # (label, who)
     actor2: str  # "same" | "opponent"
-    pattern: re.Pattern[str]
     keyword: str
+    parts: _Parts
+    named: frozenset[str]  # the named slots the text uses
 
-
-def _pattern_for(text: str, slots: Mapping[str, Sequence[str]]) -> re.Pattern[str]:
-    pat = re.escape(text)
-    named = {
-        "player": rf"(?P<p1>{PLAYER_TAG_PATTERN})\((?P<p1t>Home|Away) Team\)",
-        "player2": rf"(?P<p2>{PLAYER_TAG_PATTERN})\((?P<p2t>Home|Away) Team\)",
-        "team": r"(?P<team>Home|Away) Team",
-        "opponent": r"(?P<opp>Home|Away) Team",
-        "scoreline": r"Home Team \d+, Away Team \d+",
-    }
-    for name, group in named.items():
-        pat = pat.replace(re.escape("{" + name + "}"), group)
-    for name, options in slots.items():
-        alt = "(?:" + "|".join(re.escape(o) for o in options) + ")"
-        pat = pat.replace(re.escape("{" + name + "}"), alt)
-    return re.compile(pat)
+    @cached_property
+    def pattern(self) -> re.Pattern[str]:
+        """The oracle's fullmatch pattern, compiled on first use: generation needs none."""
+        return re.compile("".join(
+            re.escape(part) if i % 2 == 0
+            else _NAMED_GROUPS[part] if isinstance(part, str)
+            else "(?:" + "|".join(re.escape(o) for o in part) + ")"
+            for i, part in enumerate(self.parts)
+        ))
 
 
 def _keyword_for(text: str) -> str:
@@ -147,9 +155,13 @@ class TemplateBank:
 
         def build(item: Mapping, events: tuple[tuple[RawEventLabel, str], ...]) -> _Entry:
             text = item["text"]
-            for name in _PLACEHOLDER.findall(text):
-                if name not in _NAMED_SLOTS and name not in self.slots:
+            parts = _PLACEHOLDER.split(text)
+            for name in parts[1::2]:
+                if name not in _NAMED_GROUPS and name not in self.slots:
                     raise ValueError(f"template {item['id']} uses undefined slot {name!r}")
+            named = [name for name in parts[1::2] if name in _NAMED_GROUPS]
+            if len(set(named)) != len(named):
+                raise ValueError(f"template {item['id']} uses a named slot twice")
             if re.search(r"[.!?].", text):
                 raise ValueError(f"template {item['id']} has internal sentence punctuation")
             return _Entry(
@@ -157,8 +169,12 @@ class TemplateBank:
                 text=text,
                 events=events,
                 actor2=item.get("actor2", "same"),
-                pattern=_pattern_for(text, self.slots),
                 keyword=_keyword_for(text),
+                parts=tuple(
+                    part if i % 2 == 0 or part in _NAMED_GROUPS else tuple(self.slots[part])
+                    for i, part in enumerate(parts)
+                ),
+                named=frozenset(named),
             )
 
         for label_text, items in data["events"].items():
@@ -176,11 +192,13 @@ class TemplateBank:
             entries.extend(self.combos[combo_name])
         for item in data["fillers"]:
             entries.append(build(item, ()))
-        self.boilerplate: dict[str, list[str]] = {k: list(v) for k, v in data["boilerplate"].items()}
-        for name, lines in self.boilerplate.items():
-            for j, line in enumerate(lines):
-                entries.append(build({"id": f"{name}-{j}", "text": line}, ()))
+        self.boilerplate: dict[str, list[_Entry]] = {}
+        for name, lines in data["boilerplate"].items():
+            self.boilerplate[name] = [build({"id": f"{name}-{j}", "text": line}, ()) for j, line in enumerate(lines)]
+            entries.extend(self.boilerplate[name])
         self.entries: tuple[_Entry, ...] = tuple(entries)
+        self.fillers: tuple[_Entry, ...] = tuple(e for e in entries if e.id.startswith("filler-"))
+        self._pools: dict[tuple[RawEventLabel, str | None], list[_Entry]] = {}
 
         # Index for oracle_extract: each entry is filed under the literal word
         # of its template that the fewest entries share.
@@ -192,6 +210,16 @@ class TemplateBank:
                 raise ValueError(f"template {entry.id} has no literal word to index it by")
             key = min(sorted(ws), key=share.__getitem__)
             self._by_word.setdefault(key, []).append(pos)
+
+    def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
+        """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
+        pool = self._pools.get((label, prefer))
+        if pool is None:
+            pool = self.events[label]
+            if prefer is not None:
+                pool = [e for e in pool if prefer in e.id] or pool
+            self._pools[label, prefer] = pool
+        return pool
 
     def candidates(self, sentence: str) -> list[_Entry]:
         """Entries that could fullmatch ``sentence``, in bank order.
@@ -215,170 +243,180 @@ def default_bank() -> TemplateBank:
 
 # --- generation ---------------------------------------------------------------
 
-_HOME_NUMBERS = (1, 18)
-_AWAY_NUMBERS = (19, 36)
-
 _SHOT_SPLIT = (
     (0.35, RawEventLabel.SAVED_ATTEMPT),
     (0.60, RawEventLabel.BLOCKED_ATTEMPT),
     (0.85, RawEventLabel.MISSED_ATTEMPT),
     (1.01, RawEventLabel.SHOT),
 )
+_ALWAYS = float("inf")
+_FOUL_FREE_KICK = "foul+free kick"  # the combo pool of a paired foul and free kick
 
 
-@dataclass
-class _Unit:
-    events: list[ScriptedEvent]
-    combo: str | None = None  # combo pool name when rendered as one sentence
+class _Side:
+    """One team's fixed facts, read as plain attributes in the generator's loops."""
+
+    def __init__(self, team: TeamSide, numbers: tuple[int, int]) -> None:
+        self.team = team
+        self.text = team.display
+        self.numbers = numbers  # (low, high + 1), as rng.integers takes them
+        self.tags = tuple(f"Player{n}" for n in range(*numbers))
+        self.opponent = self  # set to the other side once both exist
+
+
+_HOME, _AWAY = _Side(TeamSide.HOME, (1, 19)), _Side(TeamSide.AWAY, (19, 37))
+_HOME.opponent, _AWAY.opponent = _AWAY, _HOME
+_SIDE_OF = {TeamSide.HOME: _HOME, TeamSide.AWAY: _AWAY}
+
+# A sampled event: (side, label, player tag or None)
+_Event = tuple[_Side, RawEventLabel, "str | None"]
+
+
+def _draw_tag(rng: np.random.Generator, side: _Side) -> str:
+    lo, hi = side.numbers
+    return side.tags[int(rng.integers(lo, hi)) - lo]
 
 
 class _Renderer:
     def __init__(self, bank: TemplateBank, rng: np.random.Generator) -> None:
         self.bank = bank
         self.rng = rng
-        self.score = {TeamSide.HOME: 0, TeamSide.AWAY: 0}
+        self.goals = {_HOME: 0, _AWAY: 0}
         self.sentences: list[str] = []
         self.script: list[ScriptedEvent] = []
 
-    def _player_tag(self, team: TeamSide) -> str:
-        lo, hi = _HOME_NUMBERS if team is TeamSide.HOME else _AWAY_NUMBERS
-        return f"Player{int(self.rng.integers(lo, hi + 1))}"
+    def _fill(self, entry: _Entry, ctx: Mapping[str, str]) -> str:
+        # flavor slots draw left to right, as they stand in the text
+        parts = list(entry.parts)
+        for i in range(1, len(parts), 2):
+            slot = parts[i]
+            parts[i] = ctx[slot] if isinstance(slot, str) else slot[int(self.rng.integers(len(slot)))]
+        return "".join(parts)
 
-    def _fill(self, text: str, ctx: Mapping[str, str]) -> str:
-        def sub(m: re.Match[str]) -> str:
-            name = m.group(1)
-            if name in ctx:
-                return ctx[name]
-            options = self.bank.slots[name]
-            return options[int(self.rng.integers(len(options)))]
-
-        return _PLACEHOLDER.sub(sub, text)
-
-    def scoreline(self) -> str:
-        return f"Home Team {self.score[TeamSide.HOME]}, Away Team {self.score[TeamSide.AWAY]}"
-
-    def boilerplate(self, name: str) -> None:
-        for line in self.bank.boilerplate[name]:
-            self.sentences.append(self._fill(line, {"scoreline": self.scoreline()}))
-
-    def filler(self) -> None:
-        fillers = [e for e in self.bank.entries if e.id.startswith("filler-")]
-        entry = fillers[int(self.rng.integers(len(fillers)))]
-        team = TeamSide.HOME if self.rng.random() < 0.5 else TeamSide.AWAY
-        ctx = {"player": f"{self._player_tag(team)}({team.display})"}
-        self.sentences.append(self._fill(entry.text, ctx))
-
-    def _pick(self, pool: list[_Entry], prefer: str | None = None) -> _Entry:
-        if prefer is not None:
-            narrowed = [e for e in pool if prefer in e.id]
-            if narrowed:
-                pool = narrowed
+    def _pick(self, pool: Sequence[_Entry]) -> _Entry:
         return pool[int(self.rng.integers(len(pool)))]
 
-    def single(self, event: ScriptedEvent, prefer: str | None = None) -> None:
-        pool = self.bank.events[event.label]
-        entry = self._pick(pool, prefer)
-        if event.label is RawEventLabel.GOAL:
-            self.score[event.team] += 1
-        ctx: dict[str, str] = {
-            "team": event.team.display,
-            "opponent": event.team.opponent.display,
-            "scoreline": self.scoreline(),
-        }
-        if event.player:
-            ctx["player"] = f"{event.player}({event.team.display})"
-        if "{player2}" in entry.text:
-            side = event.team if entry.actor2 == "same" else event.team.opponent
-            ctx["player2"] = f"{self._player_tag(side)}({side.display})"
-        self.sentences.append(self._fill(entry.text, ctx))
-        self.script.append(replace(event, template_id=entry.id))
+    def scoreline(self) -> str:
+        return f"Home Team {self.goals[_HOME]}, Away Team {self.goals[_AWAY]}"
 
-    def combo(self, pool_name: str, first: ScriptedEvent, second: ScriptedEvent) -> None:
-        entry = self._pick(self.bank.combos[pool_name])
-        ctx = {
-            "player": f"{first.player}({first.team.display})",
-            "player2": f"{second.player}({second.team.display})",
-        }
-        self.sentences.append(self._fill(entry.text, ctx))
+    def boilerplate(self, name: str) -> None:
+        for entry in self.bank.boilerplate[name]:
+            ctx = {"scoreline": self.scoreline()} if "scoreline" in entry.named else {}
+            self.sentences.append(self._fill(entry, ctx))
+
+    def filler(self) -> None:
+        entry = self._pick(self.bank.fillers)
+        side = _HOME if self.rng.random() < 0.5 else _AWAY
+        ctx = {"player": f"{_draw_tag(self.rng, side)}({side.text})"}
+        self.sentences.append(self._fill(entry, ctx))
+
+    def single(self, event: _Event, prefer: str | None = None) -> None:
+        side, label, player = event
+        entry = self._pick(self.bank.pool(label, prefer))
+        if label is RawEventLabel.GOAL:
+            self.goals[side] += 1
+        ctx = {"team": side.text, "opponent": side.opponent.text}
+        if player:
+            ctx["player"] = f"{player}({side.text})"
+        if "scoreline" in entry.named:
+            ctx["scoreline"] = self.scoreline()
+        if "player2" in entry.named:
+            other = side if entry.actor2 == "same" else side.opponent
+            ctx["player2"] = f"{_draw_tag(self.rng, other)}({other.text})"
+        self.sentences.append(self._fill(entry, ctx))
+        self.script.append(ScriptedEvent(side.team, label, player, entry.id))
+
+    def combo(self, first: _Event, second: _Event) -> None:
+        entry = self._pick(self.bank.combos[_FOUL_FREE_KICK])
+        ctx = {"player": f"{first[2]}({first[0].text})", "player2": f"{second[2]}({second[0].text})"}
+        self.sentences.append(self._fill(entry, ctx))
         # script order follows the template's declared event order
         for label, who in entry.events:
-            src = first if who == "player" else second
-            self.script.append(replace(src, label=label, template_id=entry.id))
+            side, _, player = first if who == "player" else second
+            self.script.append(ScriptedEvent(side.team, label, player, entry.id))
+
+
+def _label_cuts(cfg: GeneratorConfig) -> tuple[tuple[tuple[float, RawEventLabel], ...], ...]:
+    """Per class in EVENT_ORDER, (cut, label) pairs in order.
+
+    A class with one pair always gives its label and draws nothing; otherwise
+    one uniform draw gives the label of the first cut above it.
+    """
+    handball = cfg.handball_share
+    cuts = {
+        EventType.GOALS: ((_ALWAYS, RawEventLabel.GOAL),),
+        EventType.SHOTS: _SHOT_SPLIT,
+        EventType.FOULS: (
+            (handball, RawEventLabel.HANDBALL),
+            (handball + cfg.dangerous_play_share, RawEventLabel.DANGEROUS_PLAY),
+            (_ALWAYS, RawEventLabel.FOUL),
+        ),
+        EventType.YELLOW_CARDS: ((_ALWAYS, RawEventLabel.YELLOW_CARD),),
+        EventType.RED_CARDS: (
+            (cfg.second_yellow_share, RawEventLabel.SECOND_YELLOW_CARD),
+            (_ALWAYS, RawEventLabel.RED_CARD),
+        ),
+        EventType.CORNER_KICKS: ((_ALWAYS, RawEventLabel.CORNER_KICK),),
+        EventType.FREE_KICKS: ((cfg.penalty_share, RawEventLabel.PENALTY), (_ALWAYS, RawEventLabel.FREE_KICK)),
+        EventType.OFFSIDES: ((_ALWAYS, RawEventLabel.OFFSIDE),),
+    }
+    return tuple(cuts[cls] for cls in EVENT_ORDER)
+
+
+# A unit of narration: one event, or a foul and the free kick it gave, with
+# whether the pair is told in one combo sentence.
+_Unit = tuple[tuple[_Event, ...], bool]
 
 
 def _sample_events(cfg: GeneratorConfig, rng: np.random.Generator) -> list[_Unit]:
-    def draw_label(team: TeamSide, cls: EventType) -> ScriptedEvent:
-        if cls is EventType.GOALS:
-            label = RawEventLabel.GOAL
-        elif cls is EventType.SHOTS:
-            r = rng.random()
-            label = next(lab for cut, lab in _SHOT_SPLIT if r < cut)
-        elif cls is EventType.FOULS:
-            r = rng.random()
-            if r < cfg.handball_share:
-                label = RawEventLabel.HANDBALL
-            elif r < cfg.handball_share + cfg.dangerous_play_share:
-                label = RawEventLabel.DANGEROUS_PLAY
-            else:
-                label = RawEventLabel.FOUL
-        elif cls is EventType.YELLOW_CARDS:
-            label = RawEventLabel.YELLOW_CARD
-        elif cls is EventType.RED_CARDS:
-            label = (
-                RawEventLabel.SECOND_YELLOW_CARD
-                if rng.random() < cfg.second_yellow_share
-                else RawEventLabel.RED_CARD
-            )
-        elif cls is EventType.CORNER_KICKS:
-            label = RawEventLabel.CORNER_KICK
-        elif cls is EventType.FREE_KICKS:
-            label = (
-                RawEventLabel.PENALTY if rng.random() < cfg.penalty_share else RawEventLabel.FREE_KICK
-            )
-        else:
-            label = RawEventLabel.OFFSIDE
-        player: str | None = None
-        if label is not RawEventLabel.CORNER_KICK:
-            lo, hi = _HOME_NUMBERS if team is TeamSide.HOME else _AWAY_NUMBERS
-            player = f"Player{int(rng.integers(lo, hi + 1))}"
-        return ScriptedEvent(team=team, label=label, player=player, template_id="")
+    events: list[_Event] = []
+    label_cuts = _label_cuts(cfg)
+    for team in TEAM_ORDER:
+        side = _SIDE_OF[team]
+        lo, hi = side.numbers
+        for cls, cuts in zip(EVENT_ORDER, label_cuts):
+            for _ in range(int(rng.poisson(cfg.means.get(cls, 0.0)))):
+                if len(cuts) == 1:
+                    label = cuts[0][1]
+                else:
+                    r = rng.random()
+                    for cut, label in cuts:  # stops at the first cut above r
+                        if r < cut:
+                            break
+                player = None if label is RawEventLabel.CORNER_KICK else side.tags[int(rng.integers(lo, hi)) - lo]
+                events.append((side, label, player))
 
-    events: list[ScriptedEvent] = []
-    for team in (TeamSide.HOME, TeamSide.AWAY):
-        for cls in EVENT_ORDER:
-            n = int(rng.poisson(cfg.means.get(cls, 0.0)))
-            events.extend(draw_label(team, cls) for _ in range(n))
-
-    # Linkage: pair plain fouls with an unpaired opposing free kick so the
-    # narration flows; the pair still contributes exactly its two tuples.
-    free_kicks: dict[TeamSide, list[int]] = {t: [] for t in TeamSide}
-    for i, e in enumerate(events):
-        if e.label is RawEventLabel.FREE_KICK:
-            free_kicks[e.team].append(i)
+    # Linkage: pair plain fouls with the first unpaired opposing free kick so
+    # the narration flows; the pair still contributes exactly its two tuples.
+    # Kicks are taken in order, so each side's taken kicks are a prefix.
+    free_kicks: dict[_Side, list[int]] = {_HOME: [], _AWAY: []}
+    for i, (side, label, _) in enumerate(events):
+        if label is RawEventLabel.FREE_KICK:
+            free_kicks[side].append(i)
+    taken = {_HOME: 0, _AWAY: 0}
     paired: dict[int, int] = {}
-    taken: set[int] = set()
-    for i, e in enumerate(events):
-        if e.label is not RawEventLabel.FOUL:
+    for i, (side, label, _) in enumerate(events):
+        if label is not RawEventLabel.FOUL:
             continue
-        pool = [j for j in free_kicks[e.team.opponent] if j not in taken]
-        if pool and rng.random() < cfg.foul_free_kick_link:
-            j = pool[0]
-            taken.add(j)
-            paired[i] = j
+        kicks, k = free_kicks[side.opponent], taken[side.opponent]
+        if k < len(kicks) and rng.random() < cfg.foul_free_kick_link:
+            paired[i] = kicks[k]
+            taken[side.opponent] = k + 1
 
     units: list[_Unit] = []
-    consumed = set(paired) | set(taken)
+    consumed = set(paired.values())
     for i, e in enumerate(events):
         if i in paired:
-            combo = rng.random() < cfg.combo_sentence_share
-            units.append(_Unit([e, events[paired[i]]], combo="foul+free kick" if combo else None))
+            units.append(((e, events[paired[i]]), rng.random() < cfg.combo_sentence_share))
         elif i not in consumed:
-            units.append(_Unit([e]))
+            units.append(((e,), False))
     return units
 
 
 def generate_one(cfg: GeneratorConfig, index: int) -> tuple[MatchInstance, EventScript]:
     """One deterministic instance; the script is the ground-truth event list."""
+    import numpy as np  # only generation needs it; reading datasets must not pay for it
+
     bank = default_bank()
     if bank.version != cfg.bank_version:
         raise ValueError(f"template bank {bank.version} != config {cfg.bank_version}")
@@ -389,22 +427,22 @@ def generate_one(cfg: GeneratorConfig, index: int) -> tuple[MatchInstance, Event
 
     r = _Renderer(bank, rng)
     r.boilerplate("kickoff")
-    for pos, unit in enumerate(units):
+    for pos, (events, combo) in enumerate(units):
         if pos == split:
             r.boilerplate("halftime")
             r.boilerplate("second_half")
         if rng.random() < cfg.filler_rate:
             r.filler()
-        if unit.combo is not None:
-            r.combo(unit.combo, unit.events[0], unit.events[1])
-        elif len(unit.events) == 2:
-            r.single(unit.events[0])
-            r.single(unit.events[1], prefer="freekick")
-        elif unit.events[0].label is RawEventLabel.OFFSIDE:
+        if combo:
+            r.combo(*events)
+        elif len(events) == 2:
+            r.single(events[0])
+            r.single(events[1], prefer="freekick")
+        elif events[0][1] is RawEventLabel.OFFSIDE:
             through = rng.random() < cfg.through_ball_offside_share
-            r.single(unit.events[0], prefer="through" if through else "plain")
+            r.single(events[0], prefer="through" if through else "plain")
         else:
-            r.single(unit.events[0])
+            r.single(events[0])
     if split >= len(units):
         r.boilerplate("halftime")
         r.boilerplate("second_half")
@@ -414,7 +452,7 @@ def generate_one(cfg: GeneratorConfig, index: int) -> tuple[MatchInstance, Event
     instance = MatchInstance(
         id=f"synth-{cfg.seed}-{index:05d}",
         commentary=" ".join(r.sentences),
-        ground_truth=integrate(tuples_of(script)),
+        ground_truth=integrate(script),  # integrate reads team and label, which a ScriptedEvent has
         meta={"seed": str(cfg.seed), "index": str(index), "bank": bank.version},
     )
     return instance, script

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import EVENT_ORDER, EventType, SummaryTable, TeamSide, team_named
+from .model import EVENT_ORDER, TEAM_ORDER, EventType, SummaryTable, TeamSide, team_named
 
 CSV_HEADER = "Team," + ",".join(e.column_header for e in EVENT_ORDER)
 
@@ -17,7 +17,7 @@ CSV_HEADER = "Team," + ",".join(e.column_header for e in EVENT_ORDER)
 def to_csv(table: SummaryTable) -> str:
     """Exactly three LF-separated lines: header, Home Team row, Away Team row."""
     lines = [CSV_HEADER]
-    for team in (TeamSide.HOME, TeamSide.AWAY):
+    for team in TEAM_ORDER:
         lines.append(team.display + "," + ",".join(str(v) for v in table.row(team)))
     return "\n".join(lines)
 

@@ -160,6 +160,11 @@ def test_eval_missing_ids_is_data_error(tmp_path, runner):
                  id="malformed_code"),
     pytest.param(lambda r: r.update(outcome={"malformed": {"code": "x", "detail": 5}}), "detail must be a string",
                  id="malformed_detail"),
+    pytest.param(lambda r: r["stages"][2].update(stage="3"), "stage must be an int from 1 to 3", id="stage_string"),
+    pytest.param(lambda r: r["stages"][0].update(stage=True), "stage must be an int from 1 to 3", id="stage_bool"),
+    pytest.param(lambda r: r["stages"][0].update(stage=4), "stage must be an int from 1 to 3", id="stage_range"),
+    pytest.param(lambda r: r["tuples"][0].update(known="no"), "known must be a bool", id="known_string"),
+    pytest.param(lambda r: r["tuples"][0].update(known=1), "known must be a bool", id="known_int"),
 ])
 def test_corrupted_transcript_is_data_error(tmp_path, runner, edit, message):
     data = tmp_path / "data.jsonl"

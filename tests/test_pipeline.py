@@ -123,6 +123,38 @@ def test_batch_isolates_failing_instance(synthetic):
     assert [t.instance_id for t in transcripts] == [i.id for i in dataset]
 
 
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_batch_survives_any_exception_from_the_backend(parallelism):
+    dataset = generate(GeneratorConfig(seed=12), 10)
+    doomed = {dataset[i].commentary for i in (1, 4, 8)}
+    oracle = OracleBackend()
+
+    class KeyErrorBackend:
+        def complete(self, request):
+            if any(text in request.last_text for text in doomed):
+                raise KeyError("no such key")
+            return oracle.complete(request)
+
+    transcripts = run_batch(dataset, prompts.T3, KeyErrorBackend(), parallelism=parallelism)
+    assert [t.instance_id for t in transcripts] == [i.id for i in dataset]
+    for i, (t, inst) in enumerate(zip(transcripts, dataset)):
+        if i in (1, 4, 8):
+            assert t.outcome.reason_code == "raised_KeyError"
+            assert "no such key" in t.outcome.detail
+        else:
+            assert t.outcome.table == inst.ground_truth
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupts_still_propagate(synthetic, interrupt):
+    class InterruptingBackend:
+        def complete(self, request):
+            raise interrupt()
+
+    with pytest.raises(interrupt):
+        run_batch(synthetic[:2], prompts.T3, InterruptingBackend())
+
+
 def test_parallelism_determinism(tmp_path, synthetic):
     backend = StubBackend(zero_table_stub)
     one = run_batch(synthetic, prompts.T3, backend, parallelism=1)
