@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import subprocess
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -161,7 +162,10 @@ def run_instance(
     except BackendError as exc:
         outcome = ParsedTableOutcome.malformed("backend_error", str(exc))
     except Exception as exc:
-        outcome = ParsedTableOutcome.malformed(f"raised_{type(exc).__name__}", str(exc))
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        outcome = ParsedTableOutcome.malformed(
+            f"raised_{type(exc).__name__}", f"{exc} (at {Path(where.filename).name}:{where.lineno} in {where.name})"
+        )
     return RunTranscript(
         instance_id=instance.id,
         mode=mode.name,
@@ -319,12 +323,15 @@ def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> Eve
     return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
 
 
-def _tuple_from_dict(d: dict) -> EventTuple:
-    # checked before the memo: as cache keys 1 and True are equal
-    known = d.get("known", True)
-    if not isinstance(known, bool):
-        raise TypeError(f"known must be a bool, got {type(known).__name__}")
-    return _decode_tuple(d["team"], d["event"], known, d.get("player"))
+def _tuples_from_dicts(records: list) -> tuple[EventTuple, ...]:
+    out = []
+    for d in records:
+        # checked before the memo: as cache keys 1 and True are equal
+        known = d.get("known", True)
+        if known is not True and known is not False:
+            raise TypeError(f"known must be a bool, got {type(known).__name__}")
+        out.append(_decode_tuple(d["team"], d["event"], known, d.get("player")))
+    return tuple(out)
 
 
 def _stage_number(s: dict) -> int:
@@ -360,7 +367,7 @@ def transcript_from_dict(d: dict) -> RunTranscript:
             )
             for s in d["stages"]
         ),
-        tuples=tuple(_tuple_from_dict(tp) for tp in d.get("tuples", [])),
+        tuples=_tuples_from_dicts(d.get("tuples", [])),
         rejected_lines=_string_pairs(d.get("rejected_lines", []), "rejected_lines"),
         unknown_label_count=number_field(d, "unknown_label_count", 0),
         final_table_text=string_field(d, "final_table_text", ""),

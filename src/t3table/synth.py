@@ -12,10 +12,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
 from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
@@ -108,6 +108,28 @@ _NAMED_GROUPS = {
 _Parts = tuple["str | tuple[str, ...]", ...]
 
 
+class _built_on_first_read:
+    """A frozen instance's attribute computed on first read, like cached_property.
+
+    cached_property stores into the instance ``__dict__``, and once that dict
+    exists every attribute read of the instance takes CPython's slow path;
+    storing through ``object.__setattr__`` keeps the other reads fast. Two
+    threads may both build the value on a first read; ``build`` must give
+    equal values.
+    """
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = self.build(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class _Entry:
     id: str
@@ -118,7 +140,7 @@ class _Entry:
     parts: _Parts
     named: frozenset[str]  # the named slots the text uses
 
-    @cached_property
+    @_built_on_first_read
     def pattern(self) -> re.Pattern[str]:
         """The oracle's fullmatch pattern, compiled on first use: generation needs none."""
         return re.compile("".join(

@@ -140,7 +140,7 @@ def test_batch_survives_any_exception_from_the_backend(parallelism):
     for i, (t, inst) in enumerate(zip(transcripts, dataset)):
         if i in (1, 4, 8):
             assert t.outcome.reason_code == "raised_KeyError"
-            assert "no such key" in t.outcome.detail
+            assert "no such key" in t.outcome.detail and "test_pipeline.py" in t.outcome.detail
         else:
             assert t.outcome.table == inst.ground_truth
 
