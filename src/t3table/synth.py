@@ -103,19 +103,13 @@ _NAMED_GROUPS = {
     "scoreline": r"Home Team \d+, Away Team \d+",
 }
 
-# A template's text split at its placeholders: literal, slot, literal, ...,
-# literal. A slot is a named slot's name or a flavor slot's options.
-_Parts = tuple["str | tuple[str, ...]", ...]
-
 
 class _built_on_first_read:
-    """A frozen instance's attribute computed on first read, like cached_property.
+    """Like cached_property, for frozen instances, but without making their other attribute reads slow.
 
-    cached_property stores into the instance ``__dict__``, and once that dict
-    exists every attribute read of the instance takes CPython's slow path;
-    storing through ``object.__setattr__`` keeps the other reads fast. Two
-    threads may both build the value on a first read; ``build`` must give
-    equal values.
+    cached_property stores into the instance ``__dict__``; once that exists,
+    CPython reads every attribute of the instance on its slow path. Two
+    threads may both build the value; ``build`` must give equal values.
     """
 
     def __init__(self, build: Callable[[Any], Any]) -> None:
@@ -137,7 +131,9 @@ class _Entry:
     events: tuple[tuple[RawEventLabel, str], ...]  # (label, who)
     actor2: str  # "same" | "opponent"
     keyword: str
-    parts: _Parts
+    # the text split at its placeholders: literal, slot, literal, ..., literal,
+    # where a slot is a named slot's name or a flavor slot's options
+    parts: tuple[str | tuple[str, ...], ...]
     named: frozenset[str]  # the named slots the text uses
 
     @_built_on_first_read
@@ -149,11 +145,6 @@ class _Entry:
             else "(?:" + "|".join(re.escape(o) for o in part) + ")"
             for i, part in enumerate(self.parts)
         ))
-
-
-def _keyword_for(text: str) -> str:
-    chunks = [c.strip() for c in _PLACEHOLDER.split(text)[::2]]
-    return max(chunks, key=len)
 
 
 def _literal_words(text: str) -> list[str]:
@@ -191,7 +182,7 @@ class TemplateBank:
                 text=text,
                 events=events,
                 actor2=item.get("actor2", "same"),
-                keyword=_keyword_for(text),
+                keyword=max((literal.strip() for literal in parts[::2]), key=len),
                 parts=tuple(
                     part if i % 2 == 0 or part in _NAMED_GROUPS else tuple(self.slots[part])
                     for i, part in enumerate(parts)
@@ -285,6 +276,10 @@ class _Side:
         self.tags = tuple(f"Player{n}" for n in range(*numbers))
         self.opponent = self  # set to the other side once both exist
 
+    def draw_tag(self, rng: np.random.Generator) -> str:
+        lo, hi = self.numbers
+        return self.tags[int(rng.integers(lo, hi)) - lo]
+
 
 _HOME, _AWAY = _Side(TeamSide.HOME, (1, 19)), _Side(TeamSide.AWAY, (19, 37))
 _HOME.opponent, _AWAY.opponent = _AWAY, _HOME
@@ -292,11 +287,6 @@ _SIDE_OF = {TeamSide.HOME: _HOME, TeamSide.AWAY: _AWAY}
 
 # A sampled event: (side, label, player tag or None)
 _Event = tuple[_Side, RawEventLabel, "str | None"]
-
-
-def _draw_tag(rng: np.random.Generator, side: _Side) -> str:
-    lo, hi = side.numbers
-    return side.tags[int(rng.integers(lo, hi)) - lo]
 
 
 class _Renderer:
@@ -329,7 +319,7 @@ class _Renderer:
     def filler(self) -> None:
         entry = self._pick(self.bank.fillers)
         side = _HOME if self.rng.random() < 0.5 else _AWAY
-        ctx = {"player": f"{_draw_tag(self.rng, side)}({side.text})"}
+        ctx = {"player": f"{side.draw_tag(self.rng)}({side.text})"}
         self.sentences.append(self._fill(entry, ctx))
 
     def single(self, event: _Event, prefer: str | None = None) -> None:
@@ -344,7 +334,7 @@ class _Renderer:
             ctx["scoreline"] = self.scoreline()
         if "player2" in entry.named:
             other = side if entry.actor2 == "same" else side.opponent
-            ctx["player2"] = f"{_draw_tag(self.rng, other)}({other.text})"
+            ctx["player2"] = f"{other.draw_tag(self.rng)}({other.text})"
         self.sentences.append(self._fill(entry, ctx))
         self.script.append(ScriptedEvent(side.team, label, player, entry.id))
 
@@ -395,7 +385,6 @@ def _sample_events(cfg: GeneratorConfig, rng: np.random.Generator) -> list[_Unit
     label_cuts = _label_cuts(cfg)
     for team in TEAM_ORDER:
         side = _SIDE_OF[team]
-        lo, hi = side.numbers
         for cls, cuts in zip(EVENT_ORDER, label_cuts):
             for _ in range(int(rng.poisson(cfg.means.get(cls, 0.0)))):
                 if len(cuts) == 1:
@@ -405,7 +394,7 @@ def _sample_events(cfg: GeneratorConfig, rng: np.random.Generator) -> list[_Unit
                     for cut, label in cuts:  # stops at the first cut above r
                         if r < cut:
                             break
-                player = None if label is RawEventLabel.CORNER_KICK else side.tags[int(rng.integers(lo, hi)) - lo]
+                player = None if label is RawEventLabel.CORNER_KICK else side.draw_tag(rng)
                 events.append((side, label, player))
 
     # Linkage: pair plain fouls with the first unpaired opposing free kick so
