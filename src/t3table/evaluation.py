@@ -271,7 +271,7 @@ def _key(t: EventTuple) -> tuple:
 
 def _walk_order(item: tuple[tuple, int]) -> tuple:
     (player, team, label), _ = item
-    return (player or "", team.value, label.value, isinstance(label, Unknown))
+    return (player or "", team.display, label.text, isinstance(label, Unknown))
 
 
 def diagnose_tuples(

@@ -75,6 +75,14 @@ def number_field(record: dict, key: str, default: float | None = None) -> float:
     return value
 
 
+def count_field(record: dict, key: str, default: int | None = None) -> int:
+    """``record[key]``, which must be a number that is an int >= 0, as number_field."""
+    value = number_field(record, key, default)
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be an int >= 0, got {value!r}")
+    return value
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     """One compact JSON object per line, non-ASCII kept as UTF-8."""
     path = Path(path)

@@ -15,7 +15,12 @@ from typing import Iterator, Mapping
 
 
 class EventType(Enum):
-    """The eight summary-table columns, in canonical order."""
+    """The eight summary-table columns, in canonical order.
+
+    Members of EventType, TeamSide and RawEventLabel hash by identity and
+    carry their text as a plain attribute: Enum's own ``__hash__`` and
+    ``value`` run as Python code, and every per-tuple loop would pay for them.
+    """
 
     GOALS = "Goals"
     SHOTS = "Shots"
@@ -26,9 +31,10 @@ class EventType(Enum):
     FREE_KICKS = "Free Kicks"
     OFFSIDES = "Offsides"
 
-    @property
-    def column_header(self) -> str:
-        return self.value
+    __hash__ = object.__hash__
+
+    def __init__(self, text: str) -> None:
+        self.column_header = text
 
 
 # Canonical column order; all serialization and indexing uses this.
@@ -62,9 +68,10 @@ class TeamSide(Enum):
     HOME = "Home Team"
     AWAY = "Away Team"
 
-    @property
-    def display(self) -> str:
-        return self.value
+    __hash__ = object.__hash__
+
+    def __init__(self, text: str) -> None:
+        self.display = text
 
     @property
     def opponent(self) -> "TeamSide":
@@ -113,6 +120,11 @@ class RawEventLabel(Enum):
     PENALTY = "penalty"
     OFFSIDE = "offside"
 
+    __hash__ = object.__hash__
+
+    def __init__(self, text: str) -> None:
+        self.text = text  # as Unknown.text, so label.text reads the same for both kinds
+
 
 @dataclass(frozen=True, slots=True)
 class Unknown:
@@ -120,15 +132,13 @@ class Unknown:
 
     text: str
 
-    @property
-    def value(self) -> str:
-        """The surface text, so ``label.value`` reads the same for both label kinds."""
-        return self.text
+
+_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
 
 
 def _fold(text: str) -> str:
     # lowercase, strip punctuation, collapse whitespace
-    return re.sub(r"[^a-z0-9]+", " ", text.lower()).strip()
+    return _NOT_ALNUM.sub(" ", text.lower()).strip()
 
 
 def _load_synonyms() -> dict[str, RawEventLabel]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
-from .jsonl import number_field, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -56,7 +56,7 @@ def render_tuples_table(tuples: Iterable[EventTuple]) -> str:
     """The truncated pipeline's output: extracted tuples themselves as a table."""
     lines = ["Player,Team,Event"]
     for t in tuples:
-        lines.append(f"{t.player or ''},{t.team.display},{t.label.value}")
+        lines.append(f"{t.player or ''},{t.team.display},{t.label.text}")
     return "\n".join(lines)
 
 
@@ -292,7 +292,7 @@ def transcript_to_dict(t: RunTranscript) -> dict:
             {
                 "player": tp.player,
                 "team": tp.team.display,
-                "event": tp.label.value,
+                "event": tp.label.text,
                 "known": isinstance(tp.label, RawEventLabel),
             }
             for tp in t.tuples
@@ -307,7 +307,7 @@ def transcript_to_dict(t: RunTranscript) -> dict:
 
 # Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
 _TEAM_BY_DISPLAY: dict[str, TeamSide] = {team.display: team for team in TeamSide}
-_LABEL_BY_VALUE: dict[str, RawEventLabel] = {label.value: label for label in RawEventLabel}
+_LABEL_BY_TEXT: dict[str, RawEventLabel] = {label.text: label for label in RawEventLabel}
 
 
 # A run's tuples repeat a small vocabulary (player tags x teams x labels);
@@ -319,7 +319,7 @@ def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> Eve
     # 1 and True are equal, so a number would read back as the other
     if not isinstance(event, str):
         raise TypeError(f"event must be a string, got {type(event).__name__}")
-    label = _LABEL_BY_VALUE[event] if known else Unknown(event)
+    label = _LABEL_BY_TEXT[event] if known else Unknown(event)
     return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
 
 
@@ -369,7 +369,7 @@ def transcript_from_dict(d: dict) -> RunTranscript:
         ),
         tuples=_tuples_from_dicts(d.get("tuples", [])),
         rejected_lines=_string_pairs(d.get("rejected_lines", []), "rejected_lines"),
-        unknown_label_count=number_field(d, "unknown_label_count", 0),
+        unknown_label_count=count_field(d, "unknown_label_count", 0),
         final_table_text=string_field(d, "final_table_text", ""),
         outcome=outcome,
         total_latency_s=number_field(d, "latency_s", 0.0),

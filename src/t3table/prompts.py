@@ -172,13 +172,13 @@ def render_tuple_lines(tuples: Iterable[EventTuple]) -> str:
     lines = []
     for t in tuples:
         if t.player:
-            lines.append(f"({t.player}, {t.team.display}, {t.label.value})")
+            lines.append(f"({t.player}, {t.team.display}, {t.label.text})")
         else:
-            lines.append(f"({t.team.display}, {t.label.value})")
+            lines.append(f"({t.team.display}, {t.label.text})")
     return "\n".join(lines)
 
 
-_COUNT_NAMES: dict[EventType, str] = {e: e.value.lower() for e in EVENT_ORDER}
+_COUNT_NAMES: dict[EventType, str] = {e: e.column_header.lower() for e in EVENT_ORDER}
 
 
 def render_count_tuples(table: SummaryTable) -> str:

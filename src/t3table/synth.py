@@ -85,14 +85,12 @@ class ScriptedEvent:
 EventScript = tuple[ScriptedEvent, ...]
 
 
-def tuples_of(script: Iterable[ScriptedEvent]) -> tuple[EventTuple, ...]:
-    return tuple(EventTuple(team=e.team, label=e.label, player=e.player) for e in script)
-
-
 # --- template bank -----------------------------------------------------------
 
 _PLACEHOLDER = re.compile(r"\{([a-z0-9_]+)\}")
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+# a sentence ends at . ! or ? that whitespace follows; the mark is captured
+# so that _sentences can give it back to its sentence
+_SENTENCE_END = re.compile(r"([.!?])\s+")
 # What each named slot matches in the oracle's patterns; the generator fills
 # named slots from its context and draws the bank's flavor slots.
 _NAMED_GROUPS = {
@@ -146,6 +144,10 @@ class _Entry:
             else "(?:" + "|".join(re.escape(o) for o in part) + ")"
             for i, part in enumerate(self.parts)
         ))
+
+
+# how many word sets TemplateBank.candidates keeps the merged candidates of
+_MERGED_BOUND = 4096
 
 
 def _literal_words(text: str) -> list[str]:
@@ -215,15 +217,19 @@ class TemplateBank:
         self._pools: dict[tuple[RawEventLabel, str | None], list[_Entry]] = {}
 
         # Index for oracle_extract: each entry is filed under the literal word
-        # of its template that the fewest entries share.
+        # of its template that the fewest entries share, and each word maps
+        # to its entries in bank order.
         words = [set(_literal_words(e.text)) for e in self.entries]
         share = Counter(w for ws in words for w in ws)
-        self._by_word: dict[str, list[int]] = {}
-        for pos, (entry, ws) in enumerate(zip(self.entries, words)):
+        index_words = []
+        for entry, ws in zip(self.entries, words):
             if not ws:
                 raise ValueError(f"template {entry.id} has no literal word to index it by")
-            key = min(sorted(ws), key=share.__getitem__)
-            self._by_word.setdefault(key, []).append(pos)
+            index_words.append(min(sorted(ws), key=share.__getitem__))
+        self._index_words: tuple[str, ...] = tuple(index_words)
+        self._by_word = {word: self._filed_under({word}) for word in index_words}
+        # candidates of sentences that hold several index words, by word set
+        self._merged: dict[frozenset[str], tuple[_Entry, ...]] = {}
 
     def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
         """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
@@ -235,18 +241,26 @@ class TemplateBank:
             self._pools[label, prefer] = pool
         return pool
 
-    def candidates(self, sentence: str) -> list[_Entry]:
+    def candidates(self, sentence: str) -> tuple[_Entry, ...]:
         """Entries that could fullmatch ``sentence``, in bank order.
 
         Every entry that matches is among them: its index word is a
         whitespace-separated token of any sentence it matches.
         """
-        # an entry sits under one word only, so the positions are distinct
-        found: list[int] = []
-        for word in self._by_word.keys() & sentence.split():
-            found += self._by_word[word]
-        found.sort()
-        return [self.entries[pos] for pos in found]
+        words = self._by_word.keys() & sentence.split()
+        if len(words) == 1:
+            return self._by_word[words.pop()]
+        key = frozenset(words)
+        found = self._merged.get(key)
+        if found is None:
+            found = self._filed_under(key)
+            if len(self._merged) < _MERGED_BOUND:  # foreign text can hold any word set
+                self._merged[key] = found
+        return found
+
+    def _filed_under(self, words: frozenset[str] | set[str]) -> tuple[_Entry, ...]:
+        """The entries filed under any of ``words``, in bank order."""
+        return tuple(e for e, w in zip(self.entries, self._index_words) if w in words)
 
 
 @lru_cache(maxsize=None)
@@ -544,6 +558,13 @@ def _best_effort(sentence: str) -> list[EventTuple]:
     return []
 
 
+def _sentences(text: str) -> list[str]:
+    """``text`` split after each sentence mark that whitespace follows, the whitespace dropped."""
+    parts = _SENTENCE_END.split(text)  # sentence, mark, sentence, mark, ..., sentence
+    parts.append("")  # the last sentence's mark
+    return list(map(str.__add__, parts[::2], parts[1::2]))
+
+
 def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[EventTuple]:
     """Recover event tuples from commentary.
 
@@ -553,12 +574,12 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
     that could match and come in bank order, so the first match is the same
     as in a scan of the whole bank.
     """
-    bank = bank or default_bank()
+    candidates = (bank or default_bank()).candidates
     tuples: list[EventTuple] = []
-    for sentence in _SENTENCE_SPLIT.split(commentary.strip()):
+    for sentence in _sentences(commentary.strip()):
         if not sentence:
             continue
-        for entry in bank.candidates(sentence):
+        for entry in candidates(sentence):
             if entry.keyword and entry.keyword not in sentence:
                 continue
             m = entry.pattern.fullmatch(sentence)

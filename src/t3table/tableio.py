@@ -43,8 +43,11 @@ class ParsedTableOutcome:
         return cls(table=None, reason_code=code, detail=detail)
 
 
+_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
+
+
 def _norm(cell: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "", cell.lower())
+    return _NOT_ALNUM.sub("", cell.lower())
 
 
 # Fuzzy event-name lookup: lowercase alphanumeric comparison, singular accepted.

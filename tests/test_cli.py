@@ -154,6 +154,12 @@ def test_eval_missing_ids_is_data_error(tmp_path, runner):
     pytest.param(lambda r: r.update(final_table_text=5), "final_table_text must be a string", id="final_table_text"),
     pytest.param(lambda r: r.update(unknown_label_count="x"), "unknown_label_count must be a number",
                  id="unknown_label_count"),
+    pytest.param(lambda r: r.update(unknown_label_count=2.5), "unknown_label_count must be an int >= 0",
+                 id="unknown_label_count_float"),
+    pytest.param(lambda r: r.update(unknown_label_count=-1), "unknown_label_count must be an int >= 0",
+                 id="unknown_label_count_negative"),
+    pytest.param(lambda r: r.update(unknown_label_count=True), "unknown_label_count must be a number",
+                 id="unknown_label_count_bool"),
     pytest.param(lambda r: r["stages"][0].update(kind=5), "kind must be a string", id="stage_kind"),
     pytest.param(lambda r: r["stages"][0].update(latency_s="x"), "latency_s must be a number", id="stage_latency_s"),
     pytest.param(lambda r: r.update(outcome={"malformed": {"code": 5, "detail": "x"}}), "code must be a string",

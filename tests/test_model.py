@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,7 +77,7 @@ def test_normalize_label_unknown_keeps_text():
     # the second call is answered from the memo and must be equal
     for _ in range(2):
         assert normalize_label("throw-in") == Unknown("throw-in")
-    assert Unknown("throw-in").value == "throw-in"
+    assert Unknown("throw-in").text == "throw-in"
 
 
 def test_throw_in_absent_from_synonym_map():
@@ -91,6 +94,21 @@ def test_normalize_label_idempotent_on_canonical():
 def test_normalize_label_total(text):
     result = normalize_label(text)
     assert isinstance(result, (RawEventLabel, Unknown))
+
+
+@pytest.mark.parametrize("member, text", [
+    *((e, e.column_header) for e in EventType),
+    *((t, t.display) for t in TeamSide),
+    *((label, label.text) for label in RawEventLabel),
+])
+def test_enum_members_are_plain_objects(member, text):
+    # the text is a plain attribute, the hash is the object's identity, and
+    # copies are the member itself, so identity hashes stay consistent
+    assert text == member.value
+    assert type(member).__hash__ is object.__hash__
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.deepcopy(member) is member
+    assert copy.copy(member) is member
 
 
 def test_team_side_display():

@@ -19,11 +19,10 @@ from t3table.synth import (
     generate_with_scripts,
     oracle_extract,
     read_dataset,
-    tuples_of,
     write_dataset,
-    _SENTENCE_SPLIT,
     _best_effort,
     _entry_tuples,
+    _sentences,
     _tuple_of,
 )
 from t3table.tuples import integrate, primary_event
@@ -76,6 +75,17 @@ def test_each_render_matches_exactly_one_pattern():
 
 _BANK = default_bank()
 _SLOT = re.compile(r"\{([a-z0-9_]+)\}")
+# the reference sentence split: after . ! or ?, at the whitespace that follows
+_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab.!? \t\n", max_size=40))
+@example("")
+@example(" .  a")
+@example("a. . b!? \n")
+def test_sentences_equal_the_lookbehind_split(text):
+    assert _sentences(text) == _SENTENCE_SPLIT.split(text)
 
 
 def linear_oracle_extract(commentary: str) -> list[EventTuple]:
@@ -171,14 +181,14 @@ def test_different_seeds_differ():
 
 def test_ground_truth_is_integration_of_script():
     for inst, script in generate_with_scripts(GeneratorConfig(seed=5), 10):
-        assert integrate(tuples_of(script)) == inst.ground_truth
+        assert integrate([EventTuple(team=e.team, label=e.label, player=e.player) for e in script]) == inst.ground_truth
 
 
 def test_closed_loop_small_batch():
     for inst, script in generate_with_scripts(GeneratorConfig(seed=17), 50):
         extracted = oracle_extract(inst.commentary)
         assert integrate(extracted) == inst.ground_truth
-        assert Counter(tuples_of(script)) == Counter(extracted)
+        assert Counter(EventTuple(team=e.team, label=e.label, player=e.player) for e in script) == Counter(extracted)
 
 
 def test_score_boilerplate_carries_final_score():
