@@ -146,8 +146,9 @@ class _Entry:
         ))
 
 
-# how many word sets TemplateBank.candidates keeps the merged candidates of
-_MERGED_BOUND = 4096
+# how many word sets TemplateBank.candidates keeps the candidates of; bank
+# text holds a few dozen
+_WORD_SETS_KEPT = 4096
 
 
 def _literal_words(text: str) -> list[str]:
@@ -217,8 +218,7 @@ class TemplateBank:
         self._pools: dict[tuple[RawEventLabel, str | None], list[_Entry]] = {}
 
         # Index for oracle_extract: each entry is filed under the literal word
-        # of its template that the fewest entries share, and each word maps
-        # to its entries in bank order.
+        # of its template that the fewest entries share.
         words = [set(_literal_words(e.text)) for e in self.entries]
         share = Counter(w for ws in words for w in ws)
         index_words = []
@@ -227,9 +227,9 @@ class TemplateBank:
                 raise ValueError(f"template {entry.id} has no literal word to index it by")
             index_words.append(min(sorted(ws), key=share.__getitem__))
         self._index_words: tuple[str, ...] = tuple(index_words)
-        self._by_word = {word: self._filed_under({word}) for word in index_words}
-        # candidates of sentences that hold several index words, by word set
-        self._merged: dict[frozenset[str], tuple[_Entry, ...]] = {}
+        self._index_word_set = frozenset(index_words)
+        # the candidates of each set of index words that a sentence held
+        self._candidates_of: dict[frozenset[str], tuple[_Entry, ...]] = {}
 
     def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
         """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
@@ -247,20 +247,13 @@ class TemplateBank:
         Every entry that matches is among them: its index word is a
         whitespace-separated token of any sentence it matches.
         """
-        words = self._by_word.keys() & sentence.split()
-        if len(words) == 1:
-            return self._by_word[words.pop()]
-        key = frozenset(words)
-        found = self._merged.get(key)
+        words = self._index_word_set.intersection(sentence.split())
+        found = self._candidates_of.get(words)
         if found is None:
-            found = self._filed_under(key)
-            if len(self._merged) < _MERGED_BOUND:  # foreign text can hold any word set
-                self._merged[key] = found
+            found = tuple(e for e, w in zip(self.entries, self._index_words) if w in words)
+            if len(self._candidates_of) < _WORD_SETS_KEPT:  # foreign text can hold any word set
+                self._candidates_of[words] = found
         return found
-
-    def _filed_under(self, words: frozenset[str] | set[str]) -> tuple[_Entry, ...]:
-        """The entries filed under any of ``words``, in bank order."""
-        return tuple(e for e, w in zip(self.entries, self._index_words) if w in words)
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from t3table import synth
 from t3table.model import EventTuple, EventType, RawEventLabel, SummaryTable, TeamSide
 from t3table.synth import (
     DatasetError,
@@ -148,6 +151,15 @@ _foreign = st.text(alphabet="abcdefHPTlayerom ()0123456789.,!?-'", max_size=40)
 def test_indexed_oracle_equals_linear_scan(sentences):
     commentary = " ".join(sentences)
     assert oracle_extract(commentary) == linear_oracle_extract(commentary)
+
+
+def test_oracle_is_exact_when_the_candidate_memo_is_full(monkeypatch):
+    raw = resources.files("t3table.assets").joinpath("template_bank.json").read_text("utf-8")
+    monkeypatch.setattr(synth, "_WORD_SETS_KEPT", 0)
+    bank = synth.TemplateBank(json.loads(raw))
+    for inst in generate(GeneratorConfig(seed=19), 5):
+        assert oracle_extract(inst.commentary, bank) == oracle_extract(inst.commentary)
+    assert bank._candidates_of == {}
 
 
 # --- generator ---------------------------------------------------------------------
