@@ -573,7 +573,7 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
         if not sentence:
             continue
         for entry in candidates(sentence):
-            if entry.keyword and entry.keyword not in sentence:
+            if entry.keyword not in sentence:  # never empty: every entry has an index word
                 continue
             m = entry.pattern.fullmatch(sentence)
             if m:
