@@ -242,6 +242,31 @@ def test_replay_keeps_outcome_when_final_stage_never_returned(tmp_path, syntheti
         assert back.outcome.reason_code == "backend_error"
 
 
+@pytest.mark.parametrize(
+    "mode, failing, stages, tuples_kept",
+    [
+        (prompts.T2, "extract", [], False),
+        (prompts.T3, "extract", [], False),
+        (prompts.T3, "render_table", [(1, "llm"), (2, "native")], True),
+        (prompts.T3_MERGED, "merged", [], False),
+        (prompts.T3_DIRECT, "extract", [], False),
+        (prompts.T3_DIRECT, "integrate_direct", [(1, "llm")], True),
+        (prompts.T3_DIRECT, "render_table", [(1, "llm"), (2, "llm")], True),
+        (prompts.ZERO_SHOT, "zero_shot", [], False),
+        (prompts.few_shot(1), "zero_shot", [], False),  # the zero-shot family shares one marker
+    ],
+)
+def test_backend_error_at_each_stage_keeps_what_returned(synthetic, mode, failing, stages, tuples_kept):
+    inst = synthetic[0]
+    examples = prompts.render_examples_block(synthetic[1:2], False) if mode.kind is prompts.ModeKind.FEW_SHOT else None
+    t = run_instance(inst, mode, _failing_from({failing}), examples_block=examples)
+    assert [(s.stage, s.kind) for s in t.stages] == stages
+    assert t.final_table_text == ""  # the stage that answers with the table never returned
+    assert t.tuples == (tuple(oracle_extract(inst.commentary)) if tuples_kept else ())
+    assert t.outcome.reason_code == "backend_error"
+    assert t.outcome.detail == f"{failing} is down"
+
+
 def test_few_shot_prompts_carry_exemplars():
     # force every event to occur so exemplar candidates exist
     cfg = GeneratorConfig(seed=3).with_means(red_cards=3.0)
