@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import evaluation, prompts
-from .autoqa import LlmQa, load_documents, load_tables, stub_components
+from .autoqa import DEFAULT_QA_PAIRS, LlmQa, load_documents, load_tables, stub_components
 from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, zero_table_stub
 from .config import BackendSettings, parse_config_file
 from .evaluation import curve_to_csv, render_report_text, report
@@ -216,7 +216,7 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--curve-out", type=click.Path(dir_okay=False), default=None)
-@click.option("--n-pairs", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--n-pairs", type=click.IntRange(min=1), default=DEFAULT_QA_PAIRS, show_default=True)
 def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path: str | None,
            out: str, curve_out: str | None, n_pairs: int) -> None:
     """Auto-QA coverage of generated tables against their source documents."""
@@ -258,9 +258,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
     Path(out).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
     click.echo(f"coverage written to {out}")
     if coverages:
-        covered = evaluation.coverage_result({k: v for k, v in results.items() if v is not None})
         curve_path = curve_out or f"{out}.curve.csv"
-        Path(curve_path).write_text(curve_to_csv(covered.curve) + "\n", "utf-8")
+        Path(curve_path).write_text(curve_to_csv(evaluation.coverage_curve(coverages)) + "\n", "utf-8")
         click.echo(f"curve written to {curve_path}")
     elif curve_out is not None:
         raise DataError("no documents with valid QA pairs; cannot write curve")

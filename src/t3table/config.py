@@ -6,14 +6,16 @@ built-in defaults; the API key always comes from the environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+DEFAULT_MODEL = "t3-offline"
 
 
 @dataclass(frozen=True)
 class BackendSettings:
     endpoint: str | None = None
-    model: str = "t3-offline"
+    model: str = DEFAULT_MODEL
     temperature: float = 0.0
     parallelism: int = 1
     cache_dir: str | None = None
@@ -26,16 +28,8 @@ class BackendSettings:
         return replace(self, **present)  # type: ignore[arg-type]
 
 
-_FIELD_TYPES = {
-    "endpoint": str,
-    "model": str,
-    "temperature": float,
-    "parallelism": int,
-    "cache_dir": str,
-    "retries": int,
-    "backoff_s": float,
-    "timeout_s": float,
-}
+# A key's value is read as the type of its field's default; text where that is None.
+_FIELD_TYPES = {f.name: str if f.default is None else type(f.default) for f in fields(BackendSettings)}
 
 
 def parse_config_file(path: str | Path) -> BackendSettings:

@@ -210,28 +210,6 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    """Per-document coverages plus the fraction-of-documents curve over them."""
-
-    per_document: Mapping[str, float]
-    curve: tuple[CurvePoint, ...]
-
-    def __post_init__(self) -> None:
-        for doc_id, cov in self.per_document.items():
-            if not 0.0 <= cov <= 1.0:
-                raise ValueError(f"coverage for {doc_id!r} outside [0, 1]: {cov}")
-
-
-def coverage_result(
-    per_document: Mapping[str, float], grid: Sequence[float] = DEFAULT_CURVE_GRID
-) -> CoverageResult:
-    return CoverageResult(
-        per_document=dict(per_document),
-        curve=tuple(coverage_curve(list(per_document.values()), grid)),
-    )
-
-
 # --- error taxonomy ---------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -163,17 +162,11 @@ def normalize_label(text: str) -> RawEventLabel | Unknown:
     return _SYNONYMS.get(_fold(text), Unknown(text))
 
 
-def known_label_keys() -> frozenset[str]:
-    """Folded keys of the synonym map (for coverage checks)."""
-    return frozenset(_SYNONYMS)
-
-
 # Player<n> with n >= 1; every pattern that finds player tags builds on it.
 PLAYER_TAG_PATTERN = r"Player[1-9]\d*"
 _PLAYER_TAG = re.compile(PLAYER_TAG_PATTERN + r"\Z")
 
 
-@lru_cache(maxsize=1024)
 def is_player_tag(text: str) -> bool:
     """Whether ``text`` is exactly one Player<n> tag."""
     return _PLAYER_TAG.match(text) is not None
@@ -233,9 +226,6 @@ class SummaryTable:
         for (team, event), value in zip(CELLS, self.counts):
             yield team, event, value
 
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class MatchInstance:
@@ -249,14 +239,3 @@ class MatchInstance:
     def __post_init__(self) -> None:
         if not self.commentary:
             raise ValueError("commentary must be non-empty")
-
-
-@dataclass(frozen=True)
-class AnnotationSet:
-    """Per-annotator tables for one instance; at least one annotator."""
-
-    tables: tuple[SummaryTable, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tables:
-            raise ValueError("no annotations")

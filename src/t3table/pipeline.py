@@ -20,14 +20,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest, LlmResponse
+from .backends import Backend, BackendError, CachingBackend, LlmRequest
+from .config import DEFAULT_MODEL
 from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
 from .tuples import TupleParseReport, integrate, parse_tuples
-
-DEFAULT_MODEL = "t3-offline"
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,21 @@ class _Run:
         self.temperature = temperature
         self.stages: list[StageRecord] = []
 
-    def call(self, stage: int, messages: list[Message]) -> LlmResponse:
+    def call(self, stage: int, messages: list[Message]) -> str:
         request = LlmRequest(model=self.model, messages=tuple(messages), temperature=self.temperature)
         response = self.backend.complete(request)
         self.stages.append(
             StageRecord(stage=stage, kind="llm", prompt=tuple(messages), response=response.text, latency_s=response.latency_s)
         )
-        return response
+        return response.text
 
     def native(self, stage: int, text: str) -> None:
         self.stages.append(StageRecord(stage=stage, kind="native", prompt=None, response=text))
+
+
+# Modes whose stage 1 answers with the table itself; every other mode's stage 1
+# answers with tuples (t3m: tuples, then the table).
+_TABLE_AT_STAGE_1 = (ModeKind.ZERO_SHOT, ModeKind.ZERO_SHOT_COT, ModeKind.FEW_SHOT)
 
 
 def run_instance(
@@ -129,36 +133,24 @@ def run_instance(
     report = TupleParseReport(())
     final_text = ""
     try:
-        if mode.kind in (ModeKind.ZERO_SHOT, ModeKind.ZERO_SHOT_COT, ModeKind.FEW_SHOT, ModeKind.T3_MERGED):
-            response = run.call(1, build_prompt(mode, 1, instruction, instance.commentary, examples_block))
-            final_text = response.text
-            if mode.kind is ModeKind.T3_MERGED:
-                report = parse_tuples(response.text)
-            outcome = parse_model_table(final_text)
-        elif mode.kind is ModeKind.T2:
-            response = run.call(1, build_prompt(mode, 1, instruction, instance.commentary))
-            report = parse_tuples(response.text)
+        text = run.call(1, build_prompt(mode, 1, instruction, instance.commentary, examples_block))
+        if mode.kind not in _TABLE_AT_STAGE_1:
+            report = parse_tuples(text)
+        if mode.kind is ModeKind.T2:
             final_text = render_tuples_table(report.tuples)
             run.native(2, final_text)
             outcome = ParsedTableOutcome.ok(integrate(report.tuples))
-        elif mode.kind is ModeKind.T3:
-            response = run.call(1, build_prompt(mode, 1, instruction, instance.commentary))
-            report = parse_tuples(response.text)
-            counts = integrator(report.tuples) if integrator else integrate(report.tuples)
-            counts_text = prompts.render_count_tuples(counts)
-            run.native(2, counts_text)
-            response = run.call(3, build_prompt(mode, 3, instruction, counts_text))
-            final_text = response.text
+        else:
+            if mode.kind is ModeKind.T3:
+                counts = integrator(report.tuples) if integrator else integrate(report.tuples)
+                text = prompts.render_count_tuples(counts)
+                run.native(2, text)
+                text = run.call(3, build_prompt(mode, 3, instruction, text))
+            elif mode.kind is ModeKind.T3_DIRECT:
+                text = run.call(2, build_prompt(mode, 2, instruction, text))
+                text = run.call(3, build_prompt(mode, 3, instruction, text))
+            final_text = text
             outcome = parse_model_table(final_text)
-        elif mode.kind is ModeKind.T3_DIRECT:
-            response = run.call(1, build_prompt(mode, 1, instruction, instance.commentary))
-            report = parse_tuples(response.text)
-            response = run.call(2, build_prompt(mode, 2, instruction, response.text))
-            response = run.call(3, build_prompt(mode, 3, instruction, response.text))
-            final_text = response.text
-            outcome = parse_model_table(final_text)
-        else:  # pragma: no cover - exhaustive over ModeKind
-            raise ValueError(f"unhandled mode {mode.name}")
     except BackendError as exc:
         outcome = ParsedTableOutcome.malformed("backend_error", str(exc))
     except Exception as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
 from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
@@ -102,27 +102,6 @@ _NAMED_GROUPS = {
 }
 
 
-class _built_on_first_read:
-    """An attribute of a frozen instance built on first read, like cached_property.
-
-    cached_property stores into the instance ``__dict__``; once that exists,
-    CPython reads every attribute of the instance on its slow path, which
-    costs the oracle about 4%. Two threads may both build the value, so
-    ``build`` must give equal values.
-    """
-
-    def __init__(self, build: Callable[[Any], Any]) -> None:
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, instance: Any, owner: type | None = None) -> Any:
-        if instance is None:
-            return self
-        value = self.build(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class _Entry:
     id: str
@@ -135,15 +114,15 @@ class _Entry:
     parts: tuple[str | tuple[str, ...], ...]
     named: frozenset[str]  # the named slots the text uses
 
-    @_built_on_first_read
-    def pattern(self) -> re.Pattern[str]:
-        """The oracle's fullmatch pattern, compiled on first use: generation needs none."""
-        return re.compile("".join(
-            re.escape(part) if i % 2 == 0
-            else _NAMED_GROUPS[part] if isinstance(part, str)
-            else "(?:" + "|".join(re.escape(o) for o in part) + ")"
-            for i, part in enumerate(self.parts)
-        ))
+
+def _pattern(entry: _Entry) -> re.Pattern[str]:
+    """The oracle's fullmatch pattern of ``entry``; generation compiles none."""
+    return re.compile("".join(
+        re.escape(part) if i % 2 == 0
+        else _NAMED_GROUPS[part] if isinstance(part, str)
+        else "(?:" + "|".join(re.escape(o) for o in part) + ")"
+        for i, part in enumerate(entry.parts)
+    ))
 
 
 # how many word sets TemplateBank.candidates keeps the candidates of; bank
@@ -229,7 +208,7 @@ class TemplateBank:
         self._index_words: tuple[str, ...] = tuple(index_words)
         self._index_word_set = frozenset(index_words)
         # the candidates of each set of index words that a sentence held
-        self._candidates_of: dict[frozenset[str], tuple[_Entry, ...]] = {}
+        self._candidates_of: dict[frozenset[str], tuple[tuple[_Entry, re.Pattern[str]], ...]] = {}
 
     def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
         """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
@@ -241,16 +220,17 @@ class TemplateBank:
             self._pools[label, prefer] = pool
         return pool
 
-    def candidates(self, sentence: str) -> tuple[_Entry, ...]:
-        """Entries that could fullmatch ``sentence``, in bank order.
+    def candidates(self, sentence: str) -> tuple[tuple[_Entry, re.Pattern[str]], ...]:
+        """(entry, pattern) pairs of the entries that could fullmatch ``sentence``, in bank order.
 
         Every entry that matches is among them: its index word is a
-        whitespace-separated token of any sentence it matches.
+        whitespace-separated token of any sentence it matches. A pattern is
+        compiled when a word set that names its entry is first merged.
         """
         words = self._index_word_set.intersection(sentence.split())
         found = self._candidates_of.get(words)
         if found is None:
-            found = tuple(e for e, w in zip(self.entries, self._index_words) if w in words)
+            found = tuple((e, _pattern(e)) for e, w in zip(self.entries, self._index_words) if w in words)
             if len(self._candidates_of) < _WORD_SETS_KEPT:  # foreign text can hold any word set
                 self._candidates_of[words] = found
         return found
@@ -572,10 +552,10 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
     for sentence in _sentences(commentary.strip()):
         if not sentence:
             continue
-        for entry in candidates(sentence):
+        for entry, pattern in candidates(sentence):
             if entry.keyword not in sentence:  # never empty: every entry has an index word
                 continue
-            m = entry.pattern.fullmatch(sentence)
+            m = pattern.fullmatch(sentence)
             if m:
                 tuples.extend(_entry_tuples(entry, m))
                 break

@@ -42,7 +42,7 @@ def test_gen_mean_override(tmp_path, runner):
     ) for item in ("--mean", f"{e}=0")]
     result = invoke(runner, ["gen", "--out", str(out), "--n", "3", *means])
     assert result.exit_code == 0
-    assert all(inst.ground_truth.total() == 0 for inst in read_dataset(out))
+    assert all(sum(inst.ground_truth.counts) == 0 for inst in read_dataset(out))
 
 
 def test_gen_unknown_mean_is_usage_error(tmp_path, runner):

@@ -240,15 +240,6 @@ def test_coverage_curve_empty_errors():
         coverage_curve([])
 
 
-def test_coverage_result_validates_range():
-    from t3table.evaluation import coverage_result
-
-    result = coverage_result({"a": 0.75, "b": 1.0, "c": 0.0})
-    assert {p.threshold: p.percent for p in result.curve}[0.0] == 100.0
-    with pytest.raises(ValueError, match="outside"):
-        coverage_result({"a": 1.5})
-
-
 # --- diagnose ----------------------------------------------------------------------
 
 def t(team, label, player=None):

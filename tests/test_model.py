@@ -18,7 +18,6 @@ from t3table.model import (
     TeamSide,
     Unknown,
     difficulty_of,
-    known_label_keys,
     normalize_label,
     team_named,
 )
@@ -82,7 +81,7 @@ def test_normalize_label_unknown_keeps_text():
 
 def test_throw_in_absent_from_synonym_map():
     # the map must not quietly absorb non-events
-    assert "throw in" not in known_label_keys()
+    assert isinstance(normalize_label("throw in"), Unknown)
 
 
 def test_normalize_label_idempotent_on_canonical():

@@ -70,7 +70,7 @@ def test_each_render_matches_exactly_one_pattern():
                 return ctx.get(name) or chosen[name]
 
             sentence = placeholder.sub(fill, entry.text)
-            claimants = [e.id for e in bank.entries if e.pattern.fullmatch(sentence)]
+            claimants = [e.id for e in bank.entries if synth._pattern(e).fullmatch(sentence)]
             assert claimants == [entry.id], f"{sentence!r} matched {claimants}"
 
 
@@ -100,7 +100,7 @@ def linear_oracle_extract(commentary: str) -> list[EventTuple]:
         for entry in _BANK.entries:
             if entry.keyword and entry.keyword not in sentence:
                 continue
-            m = entry.pattern.fullmatch(sentence)
+            m = synth._pattern(entry).fullmatch(sentence)
             if m:
                 tuples.extend(_entry_tuples(entry, m))
                 break
@@ -160,6 +160,19 @@ def test_oracle_is_exact_when_the_candidate_memo_is_full(monkeypatch):
     for inst in generate(GeneratorConfig(seed=19), 5):
         assert oracle_extract(inst.commentary, bank) == oracle_extract(inst.commentary)
     assert bank._candidates_of == {}
+
+
+def test_generation_compiles_no_oracle_pattern(monkeypatch):
+    def refuse(entry):
+        raise AssertionError(f"compiled the pattern of {entry.id}")
+
+    monkeypatch.setattr(synth, "_pattern", refuse)
+    raw = resources.files("t3table.assets").joinpath("template_bank.json").read_text("utf-8")
+    bank = synth.TemplateBank(json.loads(raw))
+    monkeypatch.setattr(synth, "default_bank", lambda: bank)
+    instances = generate(GeneratorConfig(seed=23), 3)
+    with pytest.raises(AssertionError, match="compiled the pattern"):
+        oracle_extract(instances[0].commentary, bank)
 
 
 # --- generator ---------------------------------------------------------------------
@@ -258,6 +271,12 @@ def test_oracle_best_effort_on_foreign_text():
     assert len(tuples) == 1
     assert tuples[0].team is HOME and tuples[0].label is RawEventLabel.FOUL
     assert oracle_extract("The referee checks his watch.") == []
+    # unlike model.team_named, which reads "home" or "away" anywhere in the
+    # text, the fallback takes a side only where the sentence names a team
+    assert oracle_extract("The ball is cleared away for a corner.") == []
+    assert oracle_extract("Home fans cheer as the Away Team wins a corner.") == [
+        EventTuple(team=AWAY, label=RawEventLabel.CORNER_KICK)
+    ]
 
 
 def test_combo_sentences_carry_two_tuples():
