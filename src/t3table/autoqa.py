@@ -19,14 +19,28 @@ DEFAULT_QA_PAIRS = 20
 class QaDocument:
     id: str
     text: str
-    # optional scripted pairs for the stub path: question/answer plus
-    # prescreen_passed and table_answer overrides
+    # optional scripted pairs for the stub path, checked as they load:
+    # question/answer plus prescreen_passed and table_answer overrides
     qa: tuple[dict, ...] = field(default_factory=tuple)
+
+
+def _scripted_pairs(qa: object) -> tuple[dict, ...]:
+    """A document's qa list, each item's fields checked; a wrong type raises."""
+    if not isinstance(qa, list) or not all(isinstance(item, dict) for item in qa):
+        raise TypeError("qa must be a list of objects")
+    for item in qa:
+        if not string_field(item, "question"):
+            raise ValueError("question must be non-empty")
+        string_field(item, "answer")
+        string_field(item, "table_answer", "")
+        if not isinstance(item.get("prescreen_passed", True), bool):
+            raise TypeError(f"prescreen_passed must be a bool, got {type(item['prescreen_passed']).__name__}")
+    return tuple(qa)
 
 
 def load_documents(path: str | Path) -> list[QaDocument]:
     return read_jsonl(
-        path, lambda r: QaDocument(id=str(r["id"]), text=r["text"], qa=tuple(r.get("qa") or ()))
+        path, lambda r: QaDocument(id=str(r["id"]), text=string_field(r, "text"), qa=_scripted_pairs(r.get("qa", [])))
     )
 
 
@@ -42,7 +56,7 @@ def stub_components(doc: QaDocument):
         QaPair(
             question=item["question"],
             reference_answer=item["answer"],
-            prescreen_passed=bool(item.get("prescreen_passed", True)),
+            prescreen_passed=item.get("prescreen_passed", True),
         )
         for item in doc.qa
     ]

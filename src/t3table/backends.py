@@ -14,7 +14,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -97,7 +97,9 @@ class OracleBackend:
         if classified is None:
             raise BackendError("oracle backend got a prompt it does not recognize")
         template_id, payload = classified
-        from .synth import oracle_extract  # local import to keep module graph acyclic
+        # looked up at call time, so a wrapper swapped in for synth.oracle_extract
+        # (as perfbench/tracing.py does) sees the oracle's calls
+        from .synth import oracle_extract
 
         if template_id == "extract":
             return LlmResponse(text=prompts.render_tuple_lines(oracle_extract(payload)))
@@ -201,17 +203,14 @@ class CachingBackend:
     def _read(path: Path) -> LlmResponse | None:
         """The response a cache entry holds; None if the entry does not decode."""
         try:
-            r = json.loads(path.read_text("utf-8"))["response"]
-            if not isinstance(r["text"], str):
-                return None
-            return LlmResponse(
-                text=r["text"],
-                prompt_tokens=r.get("prompt_tokens", 0),
-                completion_tokens=r.get("completion_tokens", 0),
-                latency_s=r.get("latency_s", 0.0),
-            )
+            r = LlmResponse(**json.loads(path.read_text("utf-8"))["response"])
         except (ValueError, KeyError, TypeError):  # bad JSON or UTF-8 is a ValueError
             return None
+        # counts and latency are int or float; type() keeps out bool, an int subclass
+        numbers = (r.prompt_tokens, r.completion_tokens, r.latency_s)
+        if not isinstance(r.text, str) or not all(type(n) in (int, float) for n in numbers):
+            return None
+        return r
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         path = self._path(request)
@@ -229,15 +228,7 @@ class CachingBackend:
                 raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {request.cache_key}")
         response = self.inner.complete(request)
-        record = {
-            "request": json.loads(request.canonical_json()),
-            "response": {
-                "text": response.text,
-                "prompt_tokens": response.prompt_tokens,
-                "completion_tokens": response.completion_tokens,
-                "latency_s": response.latency_s,
-            },
-        }
+        record = {"request": json.loads(request.canonical_json()), "response": asdict(response)}
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
         os.replace(tmp, path)

@@ -191,14 +191,12 @@ class CurvePoint:
     percent: float  # P, in percent
 
 
-def coverage_curve(
-    coverages: Sequence[float], grid: Sequence[float] = DEFAULT_CURVE_GRID
-) -> list[CurvePoint]:
-    """P percent of documents reach coverage of at least C percent, per threshold."""
+def coverage_curve(coverages: Sequence[float]) -> list[CurvePoint]:
+    """P percent of documents reach coverage of at least C percent, per threshold in DEFAULT_CURVE_GRID."""
     if not coverages:
         raise ValueError("no coverages")
     points = []
-    for c in grid:
+    for c in DEFAULT_CURVE_GRID:
         reached = sum(1 for cov in coverages if cov >= c / 100.0)
         points.append(CurvePoint(threshold=float(c), percent=100.0 * reached / len(coverages)))
     return points
@@ -231,16 +229,6 @@ class ErrorTaxonomy:
     @property
     def total_spurious(self) -> int:
         return sum(self.spurious.values())
-
-    def to_json_dict(self) -> dict:
-        def named(counts: Mapping[EventType, int]) -> dict:
-            return {e.column_header: n for e, n in counts.items() if n}
-
-        return {
-            "missing": named(self.missing),
-            "wrong": named(self.wrong),
-            "spurious": named(self.spurious),
-        }
 
 
 def _key(t: EventTuple) -> tuple:

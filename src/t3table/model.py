@@ -72,10 +72,6 @@ class TeamSide(Enum):
     def __init__(self, text: str) -> None:
         self.display = text
 
-    @property
-    def opponent(self) -> "TeamSide":
-        return TeamSide.AWAY if self is TeamSide.HOME else TeamSide.HOME
-
 
 TEAM_ORDER: tuple[TeamSide, ...] = (TeamSide.HOME, TeamSide.AWAY)
 
@@ -165,6 +161,9 @@ def normalize_label(text: str) -> RawEventLabel | Unknown:
 # Player<n> with n >= 1; every pattern that finds player tags builds on it.
 PLAYER_TAG_PATTERN = r"Player[1-9]\d*"
 _PLAYER_TAG = re.compile(PLAYER_TAG_PATTERN + r"\Z")
+# A tag decorated with its side, as anonymized text writes it:
+# Player5(Home Team). The groups are (tag, side).
+DECORATED_TAG = re.compile(rf"({PLAYER_TAG_PATTERN})\((Home|Away) Team\)")
 
 
 def is_player_tag(text: str) -> bool:

@@ -14,12 +14,14 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
 from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
 from .model import (
+    DECORATED_TAG,
     EVENT_ORDER,
     PLAYER_TAG_PATTERN,
     TEAM_ORDER,
@@ -65,7 +67,6 @@ class GeneratorConfig:
     handball_share: float = 0.05
     dangerous_play_share: float = 0.05
     filler_rate: float = 0.08
-    bank_version: str = "v1"
 
     def with_means(self, **overrides: float) -> "GeneratorConfig":
         means = dict(self.means)
@@ -108,7 +109,6 @@ class _Entry:
     text: str
     events: tuple[tuple[RawEventLabel, str], ...]  # (label, who)
     actor2: str  # "same" | "opponent"
-    keyword: str
     # the text split at its placeholders: literal, slot, literal, ..., literal,
     # where a slot is a named slot's name or a flavor slot's options
     parts: tuple[str | tuple[str, ...], ...]
@@ -145,11 +145,8 @@ class TemplateBank:
     def __init__(self, data: Mapping) -> None:
         self.version: str = data["version"]
         self.slots: dict[str, list[str]] = {k: list(v) for k, v in data["slots"].items()}
-        self.events: dict[RawEventLabel, list[_Entry]] = {}
-        self.combos: dict[str, list[_Entry]] = {}
-        entries: list[_Entry] = []
 
-        def build(item: Mapping, events: tuple[tuple[RawEventLabel, str], ...]) -> _Entry:
+        def build(item: Mapping) -> _Entry:
             text = item["text"]
             parts = _PLACEHOLDER.split(text)
             for name in parts[1::2]:
@@ -163,9 +160,8 @@ class TemplateBank:
             return _Entry(
                 id=item["id"],
                 text=text,
-                events=events,
+                events=tuple((RawEventLabel(e["label"]), e["who"]) for e in item.get("events", ())),
                 actor2=item.get("actor2", "same"),
-                keyword=max((literal.strip() for literal in parts[::2]), key=len),
                 parts=tuple(
                     part if i % 2 == 0 or part in _NAMED_GROUPS else tuple(self.slots[part])
                     for i, part in enumerate(parts)
@@ -173,27 +169,19 @@ class TemplateBank:
                 named=frozenset(named),
             )
 
-        for label_text, items in data["events"].items():
-            label = RawEventLabel(label_text)
-            self.events[label] = [
-                build(i, tuple((RawEventLabel(e["label"]), e["who"]) for e in i["events"]))
-                for i in items
-            ]
-            entries.extend(self.events[label])
-        for combo_name, items in data["combos"].items():
-            self.combos[combo_name] = [
-                build(i, tuple((RawEventLabel(e["label"]), e["who"]) for e in i["events"]))
-                for i in items
-            ]
-            entries.extend(self.combos[combo_name])
-        for item in data["fillers"]:
-            entries.append(build(item, ()))
-        self.boilerplate: dict[str, list[_Entry]] = {}
-        for name, lines in data["boilerplate"].items():
-            self.boilerplate[name] = [build({"id": f"{name}-{j}", "text": line}, ()) for j, line in enumerate(lines)]
-            entries.extend(self.boilerplate[name])
-        self.entries: tuple[_Entry, ...] = tuple(entries)
-        self.fillers: tuple[_Entry, ...] = tuple(e for e in entries if e.id.startswith("filler-"))
+        self.events: dict[RawEventLabel, list[_Entry]] = {
+            RawEventLabel(label): list(map(build, items)) for label, items in data["events"].items()
+        }
+        self.combos: dict[str, list[_Entry]] = {name: list(map(build, items)) for name, items in data["combos"].items()}
+        self.fillers: tuple[_Entry, ...] = tuple(map(build, data["fillers"]))
+        self.boilerplate: dict[str, list[_Entry]] = {
+            name: [build({"id": f"{name}-{j}", "text": line}) for j, line in enumerate(lines)]
+            for name, lines in data["boilerplate"].items()
+        }
+        # bank order: the oracle takes the first entry that matches
+        self.entries: tuple[_Entry, ...] = tuple(chain(
+            *self.events.values(), *self.combos.values(), self.fillers, *self.boilerplate.values()
+        ))
         self._pools: dict[tuple[RawEventLabel, str | None], list[_Entry]] = {}
 
         # Index for oracle_extract: each entry is filed under the literal word
@@ -417,8 +405,6 @@ def generate_one(cfg: GeneratorConfig, index: int) -> tuple[MatchInstance, Event
     import numpy as np  # only generation needs it; reading datasets must not pay for it
 
     bank = default_bank()
-    if bank.version != cfg.bank_version:
-        raise ValueError(f"template bank {bank.version} != config {cfg.bank_version}")
     rng = np.random.default_rng([cfg.seed, index])
     units = _sample_events(cfg, rng)
     rng.shuffle(units)
@@ -469,8 +455,6 @@ def generate(cfg: GeneratorConfig, n: int) -> list[MatchInstance]:
 
 # --- oracle extraction ---------------------------------------------------------
 
-_PLAYER_IN_TEXT = re.compile(rf"({PLAYER_TAG_PATTERN})\((Home|Away) Team\)")
-
 _SIDE = {"Home": TeamSide.HOME, "Away": TeamSide.AWAY}
 
 # Best-effort keyword fallback for text that is not from the template bank;
@@ -520,7 +504,7 @@ def _best_effort(sentence: str) -> list[EventTuple]:
     folded = sentence.lower()
     for keyword, label in _FALLBACK_KEYWORDS:
         if keyword in folded:
-            m = _PLAYER_IN_TEXT.search(sentence)
+            m = DECORATED_TAG.search(sentence)
             if m:
                 return [EventTuple(team=_SIDE[m.group(2)], label=label, player=m.group(1))]
             if "home team" in folded:
@@ -553,8 +537,6 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
         if not sentence:
             continue
         for entry, pattern in candidates(sentence):
-            if entry.keyword not in sentence:  # never empty: every entry has an index word
-                continue
             m = pattern.fullmatch(sentence)
             if m:
                 tuples.extend(_entry_tuples(entry, m))

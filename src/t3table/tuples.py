@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 from .model import (
     CELL_POS,
     CELLS,
-    PLAYER_TAG_PATTERN,
+    DECORATED_TAG,
     EventTuple,
     EventType,
     RawEventLabel,
@@ -68,9 +68,6 @@ class TupleParseReport:
 
 # one parenthesised group, the unit of both tuple and count-tuple listings
 PAREN_GROUP = re.compile(r"\(([^()]*)\)")
-# anonymized tags sometimes leak into tuples as Player5(Home Team); their
-# parens break the tuple grammar, so strip the decoration up front
-_TAG_DECORATION = re.compile(rf"({PLAYER_TAG_PATTERN})\((?:Home|Away) Team\)")
 
 
 # Model output spells a small tuple vocabulary (player tags x teams x labels)
@@ -108,8 +105,10 @@ def parse_tuples(text: str) -> TupleParseReport:
     rejected: list[tuple[str, str]] = []
     unknown = 0
     for line in text.splitlines():
+        # anonymized tags sometimes leak into tuples as Player5(Home Team);
+        # their parens break the tuple grammar, so strip the decoration first
         if " Team)" in line:  # every decorated tag ends so
-            line = _TAG_DECORATION.sub(r"\1", line)
+            line = DECORATED_TAG.sub(r"\1", line)
         for group in PAREN_GROUP.findall(line):
             read = _read_group(group)
             if read is None:

@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from t3table import backends as b
+from t3table import backends as b, prompts
 from t3table.backends import BackendError, CachingBackend, HttpBackend, LlmRequest, OracleBackend
 from t3table.config import BackendSettings, parse_config_file
 from t3table.model import RawEventLabel, SummaryTable, TeamSide
-from t3table.pipeline import subprocess_integrator
+from t3table.pipeline import run_batch, subprocess_integrator
+from t3table.synth import GeneratorConfig, generate
 from t3table.model import EventTuple
 
 
@@ -117,8 +118,13 @@ def test_caching_backend_stores_request_and_response(tmp_path):
     assert backend.hits == 1 and backend.misses == 1
 
 
-@pytest.mark.parametrize("entry", [b"{not json", b'{"response": {"text": 5}}', b"[]", b"\xff"],
-                         ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8"])
+@pytest.mark.parametrize("entry", [b"{not json", b'{"response": {"text": 5}}', b"[]", b"\xff",
+                                   b'{"response": {"text": "old", "latency_s": "x"}}',
+                                   b'{"response": {"text": "old", "latency_s": true}}',
+                                   b'{"response": {"text": "old", "prompt_tokens": "7"}}',
+                                   b'{"response": {"text": "old", "completion_tokens": null}}'],
+                         ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8",
+                              "latency_not_number", "latency_bool", "tokens_not_number", "tokens_null"])
 def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     inner = b.StubBackend("fresh")
     backend = CachingBackend(tmp_path, inner)
@@ -139,6 +145,20 @@ def test_cache_entry_that_does_not_decode_fails_replay(tmp_path):
     with pytest.raises(BackendError, match=path.name):
         replay.complete(request)
     assert replay.misses == 1 and replay.hits == 0
+
+
+def test_replay_batch_with_a_bad_entry_fails_that_instance_only(tmp_path):
+    dataset = generate(GeneratorConfig(seed=3), 3)
+    run_batch(dataset, prompts.T3, OracleBackend(), cache_dir=tmp_path)
+    # the stage-1 entry of the second instance: its prompt holds the commentary
+    entries = [p for p in tmp_path.glob("*.json") if dataset[1].commentary in p.read_text("utf-8")]
+    assert len(entries) == 1
+    record = json.loads(entries[0].read_text("utf-8"))
+    record["response"]["latency_s"] = "x"
+    entries[0].write_text(json.dumps(record), "utf-8")
+    transcripts = run_batch(dataset, prompts.T3, CachingBackend(tmp_path, inner=None))
+    assert [t.outcome.reason_code for t in transcripts] == [None, "backend_error", None]
+    assert entries[0].name in transcripts[1].outcome.detail
 
 
 def test_cache_key_sensitive_to_model_messages_temperature():

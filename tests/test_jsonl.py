@@ -81,6 +81,15 @@ def test_read_dataset_rejects_meta_that_is_not_an_object(tmp_path):
         (b'{"id": "b"}', "KeyError: 'text'"),
         (b'{"id": "b", "text": "x", "qa": 5}', "bad record .*TypeError"),
         (b'{"id": "b", "text": "\xff"}', "not UTF-8"),
+        (b'{"id": "b", "text": 5}', "TypeError: text must be a string"),
+        (b'{"id": "b", "text": "x", "qa": ["x"]}', "TypeError: qa must be a list of objects"),
+        (b'{"id": "b", "text": "x", "qa": [{"answer": "1"}]}', "KeyError: 'question'"),
+        (b'{"id": "b", "text": "x", "qa": [{"question": "", "answer": "1"}]}', "ValueError: question must be non-empty"),
+        (b'{"id": "b", "text": "x", "qa": [{"question": "q", "answer": 1}]}', "TypeError: answer must be a string"),
+        (b'{"id": "b", "text": "x", "qa": [{"question": "q", "answer": "1", "table_answer": 1}]}',
+         "TypeError: table_answer must be a string"),
+        (b'{"id": "b", "text": "x", "qa": [{"question": "q", "answer": "1", "prescreen_passed": "false"}]}',
+         "TypeError: prescreen_passed must be a bool"),
     ],
 )
 def test_errors_name_the_line_after_a_blank_one(tmp_path, line, problem):

@@ -98,8 +98,6 @@ def linear_oracle_extract(commentary: str) -> list[EventTuple]:
         if not sentence:
             continue
         for entry in _BANK.entries:
-            if entry.keyword and entry.keyword not in sentence:
-                continue
             m = synth._pattern(entry).fullmatch(sentence)
             if m:
                 tuples.extend(_entry_tuples(entry, m))
@@ -133,10 +131,13 @@ def _bank_sentence(draw) -> str:
 
 @st.composite
 def _keyword_mix(draw) -> str:
-    """Foreign sentence carrying the keywords of two bank entries."""
-    first, second = draw(st.sampled_from(_BANK.entries)), draw(st.sampled_from(_BANK.entries))
+    """Foreign sentence carrying the longest literals of two bank entries."""
+    first, second = (
+        max((literal.strip() for literal in _SLOT.split(entry.text)[::2]), key=len)
+        for entry in (draw(st.sampled_from(_BANK.entries)), draw(st.sampled_from(_BANK.entries)))
+    )
     tail = draw(st.sampled_from(["", " Home Team", " from close range", " is saved"]))
-    return f"{draw(_tagged_player())} {first.keyword} {second.keyword}{tail}."
+    return f"{draw(_tagged_player())} {first} {second}{tail}."
 
 
 _foreign = st.text(alphabet="abcdefHPTlayerom ()0123456789.,!?-'", max_size=40)
