@@ -15,6 +15,7 @@ import random
 import threading
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -24,6 +25,9 @@ from .tableio import to_csv
 from .tuples import integrate, parse_tuples
 
 API_KEY_ENV = "T3_API_KEY"
+
+# json.dumps with sort_keys builds an encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True)
 
 
 class BackendError(RuntimeError):
@@ -36,20 +40,14 @@ class LlmRequest:
     messages: tuple[prompts.Message, ...]
     temperature: float = 0.0
 
+    @cached_property
     def canonical_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "messages": [[role, text] for role, text in self.messages],
-                "temperature": self.temperature,
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-        )
+        messages = [[role, text] for role, text in self.messages]
+        return _CANONICAL.encode({"model": self.model, "messages": messages, "temperature": self.temperature})
 
     @property
     def cache_key(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.canonical_json.encode("utf-8")).hexdigest()
 
     @property
     def last_text(self) -> str:
@@ -62,6 +60,11 @@ class LlmResponse:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_s: float = 0.0
+
+
+def well_typed(r: LlmResponse) -> bool:
+    """Whether ``text`` is a string and the counts and latency int or float (``type()`` keeps out bool)."""
+    return isinstance(r.text, str) and all(type(n) in (int, float) for n in (r.prompt_tokens, r.completion_tokens, r.latency_s))
 
 
 class Backend(Protocol):
@@ -196,26 +199,20 @@ class CachingBackend:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, request: LlmRequest) -> Path:
-        return self.cache_dir / f"{request.cache_key}.json"
-
     @staticmethod
     def _read(path: Path) -> LlmResponse | None:
-        """The response a cache entry holds; None if the entry does not decode."""
+        """The response a cache entry holds; None if it is missing or does not decode."""
         try:
-            r = LlmResponse(**json.loads(path.read_text("utf-8"))["response"])
-        except (ValueError, KeyError, TypeError):  # bad JSON or UTF-8 is a ValueError
+            with open(path, "rb") as f:
+                # decoded first: json.loads of bytes would also accept UTF-16 and UTF-32
+                r = LlmResponse(**json.loads(f.read().decode("utf-8"))["response"])
+        except (FileNotFoundError, ValueError, KeyError, TypeError):  # bad JSON or UTF-8 is a ValueError
             return None
-        # counts and latency are int or float; type() keeps out bool, an int subclass
-        numbers = (r.prompt_tokens, r.completion_tokens, r.latency_s)
-        if not isinstance(r.text, str) or not all(type(n) in (int, float) for n in numbers):
-            return None
-        return r
+        return r if well_typed(r) else None
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        path = self._path(request)
-        stored = path.exists()
-        response = self._read(path) if stored else None
+        path = self.cache_dir / f"{request.cache_key}.json"
+        response = self._read(path)
         if response is not None:
             with self._lock:
                 self.hits += 1
@@ -224,11 +221,11 @@ class CachingBackend:
         with self._lock:
             self.misses += 1
         if self.inner is None:
-            if stored:
+            if path.exists():
                 raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {request.cache_key}")
         response = self.inner.complete(request)
-        record = {"request": json.loads(request.canonical_json()), "response": asdict(response)}
+        record = {"request": json.loads(request.canonical_json), "response": asdict(response)}
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
         os.replace(tmp, path)

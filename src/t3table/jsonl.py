@@ -83,13 +83,17 @@ def count_field(record: dict, key: str, default: int | None = None) -> int:
     return value
 
 
-def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    """One compact JSON object per line, non-ASCII kept as UTF-8."""
+# json.dumps(record, ensure_ascii=False) without building an encoder per call
+to_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_jsonl(lines: Iterable[str], path: str | Path) -> None:
+    """Each of ``lines``, a record's compact JSON from to_json, on a line of its own in UTF-8."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for line in lines:
+            f.write(line + "\n")
 
 
 def table_to_rows(table: SummaryTable) -> list[list[int]]:

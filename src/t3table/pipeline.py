@@ -14,15 +14,15 @@ import subprocess
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest
+from .backends import Backend, BackendError, CachingBackend, LlmRequest, well_typed
 from .config import DEFAULT_MODEL
-from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -97,6 +97,8 @@ class _Run:
     def call(self, stage: int, messages: list[Message]) -> str:
         request = LlmRequest(model=self.model, messages=tuple(messages), temperature=self.temperature)
         response = self.backend.complete(request)
+        if not well_typed(response):
+            raise BackendError(f"backend response has wrong-typed fields: {response!r:.300}")
         self.stages.append(
             StageRecord(stage=stage, kind="llm", prompt=tuple(messages), response=response.text, latency_s=response.latency_s)
         )
@@ -260,6 +262,10 @@ def replay_outcome(transcript: RunTranscript) -> ParsedTableOutcome:
 
 # --- transcript files -----------------------------------------------------------
 
+def _tuple_to_dict(tp: EventTuple) -> dict:
+    return {"player": tp.player, "team": tp.team.display, "event": tp.label.text, "known": isinstance(tp.label, RawEventLabel)}
+
+
 def transcript_to_dict(t: RunTranscript) -> dict:
     outcome: dict
     if t.outcome.is_ok:
@@ -280,21 +286,30 @@ def transcript_to_dict(t: RunTranscript) -> dict:
             }
             for s in t.stages
         ],
-        "tuples": [
-            {
-                "player": tp.player,
-                "team": tp.team.display,
-                "event": tp.label.text,
-                "known": isinstance(tp.label, RawEventLabel),
-            }
-            for tp in t.tuples
-        ],
+        "tuples": [_tuple_to_dict(tp) for tp in t.tuples],
         "rejected_lines": [[line, reason] for line, reason in t.rejected_lines],
         "unknown_label_count": t.unknown_label_count,
         "final_table_text": t.final_table_text,
         "outcome": outcome,
         "latency_s": t.total_latency_s,
     }
+
+
+# Each distinct tuple is encoded once; bounded as _decode_tuple's memo is
+@lru_cache(maxsize=4096)
+def _tuple_json(tp: EventTuple) -> str:
+    return to_json(_tuple_to_dict(tp))
+
+
+def _transcript_line(t: RunTranscript) -> str:
+    """to_json(transcript_to_dict(t)), with each tuple's text from _tuple_json.
+
+    The last '"tuples": []' in the record without its tuples is its own key:
+    the fields after it hold strings and numbers, and an encoded string
+    escapes every quote. (The id before it may be any JSON value.)
+    """
+    head, _, tail = to_json(transcript_to_dict(replace(t, tuples=()))).rpartition('"tuples": []')
+    return head + '"tuples": [' + ", ".join(map(_tuple_json, t.tuples)) + "]" + tail
 
 
 # Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
@@ -369,7 +384,7 @@ def transcript_from_dict(d: dict) -> RunTranscript:
 
 
 def write_transcripts(transcripts: Iterable[RunTranscript], path: str | Path) -> None:
-    write_jsonl(map(transcript_to_dict, transcripts), path)
+    write_jsonl(map(_transcript_line, transcripts), path)
 
 
 def read_transcripts(path: str | Path) -> list[RunTranscript]:

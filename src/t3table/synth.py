@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, write_jsonl
+from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -619,7 +619,7 @@ def _instance_from_record(record: dict) -> MatchInstance:
 
 
 def write_dataset(instances: Iterable[MatchInstance], path: str | Path) -> None:
-    write_jsonl(map(_instance_to_record, instances), path)
+    write_jsonl((to_json(_instance_to_record(inst)) for inst in instances), path)
 
 
 def read_dataset(path: str | Path) -> list[MatchInstance]:

@@ -22,6 +22,12 @@ def to_csv(table: SummaryTable) -> str:
     return "\n".join(lines)
 
 
+# What to_csv emits; its 16 groups are the counts in CELLS order.
+_EMITTED_CSV = re.compile(
+    "\n".join([re.escape(CSV_HEADER)] + [re.escape(team.display) + ",([0-9]+)" * len(EVENT_ORDER) for team in TEAM_ORDER])
+)
+
+
 @dataclass(frozen=True, slots=True)
 class ParsedTableOutcome:
     """Either a recovered table or a malformed marker with a reason code."""
@@ -114,8 +120,16 @@ def parse_model_table(text: str) -> ParsedTableOutcome:
 
     Structural validity needs a header row resolving all eight event columns
     plus a home row and an away row; cell problems in a structurally valid
-    table are reported as malformed rather than searching further.
+    table are reported as malformed rather than searching further. Text in
+    to_csv's exact shape is read by one regex, with the same outcome.
     """
+    emitted = _EMITTED_CSV.fullmatch(text)
+    if emitted is not None:
+        return ParsedTableOutcome.ok(SummaryTable(tuple(map(int, emitted.groups()))))
+    return _parse_tolerant(text)
+
+
+def _parse_tolerant(text: str) -> ParsedTableOutcome:
     lines = text.splitlines()
     blocks: list[list[list[str]]] = []
     current: list[list[str]] = []

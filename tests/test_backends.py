@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import codecs
+import hashlib
 import json
 import sys
 
@@ -116,15 +118,24 @@ def test_caching_backend_stores_request_and_response(tmp_path):
     second = backend.complete(request)
     assert second == first  # latency replays from the record too
     assert backend.hits == 1 and backend.misses == 1
+    # the entry format is fixed: caches written before stay readable, byte for byte
+    assert hashlib.sha256(files[0].read_bytes()).hexdigest() == (
+        "7d1ef6bae92b1819dcef5a49f2a019fe270ebb23d218ca06d29657938673bced"
+    )
+
+
+_VALID_ENTRY = '{"response": {"text": "old"}}'
 
 
 @pytest.mark.parametrize("entry", [b"{not json", b'{"response": {"text": 5}}', b"[]", b"\xff",
                                    b'{"response": {"text": "old", "latency_s": "x"}}',
                                    b'{"response": {"text": "old", "latency_s": true}}',
                                    b'{"response": {"text": "old", "prompt_tokens": "7"}}',
-                                   b'{"response": {"text": "old", "completion_tokens": null}}'],
+                                   b'{"response": {"text": "old", "completion_tokens": null}}',
+                                   _VALID_ENTRY.encode("utf-16"), codecs.BOM_UTF8 + _VALID_ENTRY.encode()],
                          ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8",
-                              "latency_not_number", "latency_bool", "tokens_not_number", "tokens_null"])
+                              "latency_not_number", "latency_bool", "tokens_not_number", "tokens_null",
+                              "utf16_with_bom", "utf8_with_bom"])
 def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     inner = b.StubBackend("fresh")
     backend = CachingBackend(tmp_path, inner)

@@ -1,28 +1,36 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from t3table import prompts
 from t3table.backends import (
     BackendError,
     CachingBackend,
     LlmRequest,
+    LlmResponse,
     OracleBackend,
     StubBackend,
     zero_table_stub,
 )
-from t3table.model import SummaryTable, TeamSide
+from t3table.model import EventTuple, RawEventLabel, SummaryTable, TeamSide, Unknown
 from t3table.pipeline import (
+    RunTranscript,
+    StageRecord,
     read_transcripts,
     replay_outcome,
     run_batch,
     run_instance,
+    transcript_to_dict,
     write_transcripts,
 )
+from t3table.tableio import ParsedTableOutcome
 from t3table.synth import GeneratorConfig, generate, oracle_extract
 from t3table.tableio import to_csv
 
@@ -123,6 +131,30 @@ def test_batch_isolates_failing_instance(synthetic):
     assert [t.instance_id for t in transcripts] == [i.id for i in dataset]
 
 
+@pytest.mark.parametrize("bad", [{"latency_s": "x"}, {"latency_s": True}, {"text": None}],
+                         ids=["latency_not_number", "latency_bool", "text_none"])
+def test_malformed_response_ends_only_its_instance(tmp_path, bad):
+    dataset = generate(GeneratorConfig(seed=3), 3)
+    oracle = OracleBackend()
+
+    class SecondCallMalformed:
+        calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            response = oracle.complete(request)
+            return dataclasses.replace(response, **bad) if self.calls == 2 else response
+
+    # at parallelism 1 the second call is the first instance's stage 3
+    transcripts = run_batch(dataset, prompts.T3, SecondCallMalformed())
+    assert [t.outcome.reason_code for t in transcripts] == ["backend_error", None, None]
+    assert "wrong-typed fields" in transcripts[0].outcome.detail
+    assert [s.stage for s in transcripts[0].stages] == [1, 2]
+    path = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, path)
+    assert read_transcripts(path) == transcripts
+
+
 @pytest.mark.parametrize("parallelism", [1, 8])
 def test_batch_survives_any_exception_from_the_backend(parallelism):
     dataset = generate(GeneratorConfig(seed=12), 10)
@@ -207,6 +239,54 @@ def test_transcript_round_trip_and_replay(tmp_path, synthetic):
         assert back.outcome.table == original.outcome.table
         assert back.tuples == original.tuples
         assert replay_outcome(back).table == original.outcome.table
+
+
+# quotes, backslashes, the writer's own key text, non-ASCII, DEL and control characters
+_HOSTILE = ['"', "\\", '"tuples": []', '{"tuples": []}', "é ü 日本", "\x7f", "\x00\x1f\n\t", "\u2028"]
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.sampled_from(_HOSTILE)
+_labels = st.sampled_from(list(RawEventLabel)) | st.builds(Unknown, _text)
+_players = st.none() | st.integers(min_value=1, max_value=10**6).map(lambda n: f"Player{n}")
+_tuples = st.builds(EventTuple, st.sampled_from(list(TeamSide)), _labels, _players)
+_latency = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_stages = st.builds(
+    StageRecord,
+    st.integers(min_value=1, max_value=3),
+    _text,
+    st.none() | st.lists(st.tuples(_text, _text), max_size=3).map(tuple),
+    _text,
+    _latency,
+)
+_outcomes = st.builds(ParsedTableOutcome.ok, st.builds(SummaryTable, st.tuples(*[st.integers(0, 99)] * 16))) | st.builds(
+    ParsedTableOutcome.malformed, _text, _text
+)
+_transcripts = st.builds(
+    RunTranscript,
+    instance_id=_text,
+    mode=_text,
+    stages=st.lists(_stages, max_size=3).map(tuple),
+    tuples=st.lists(_tuples, max_size=6).map(tuple),
+    rejected_lines=st.lists(st.tuples(_text, _text), max_size=2).map(tuple),
+    unknown_label_count=st.integers(min_value=0, max_value=99),
+    final_table_text=_text,
+    outcome=_outcomes,
+    total_latency_s=_latency,
+)
+_unknown_only = RunTranscript("u", '"tuples": []', (), (EventTuple(TeamSide.AWAY, Unknown('"tuples": []')),))
+# a file may give any JSON value as an id, even one that encodes as the writer's key text
+_object_id = RunTranscript({"tuples": []}, "t3", (), (EventTuple(TeamSide.HOME, RawEventLabel.FOUL),))
+
+
+@settings(deadline=None)
+@given(st.lists(_transcripts, max_size=4, unique_by=lambda t: t.instance_id))
+@example([RunTranscript("empty", "t3", ())])
+@example([_object_id])
+@example([_unknown_only, RunTranscript("k", "t3", (), (EventTuple(TeamSide.HOME, RawEventLabel.GOAL, "Player7"),))])
+def test_written_lines_are_json_dumps_of_the_dicts_and_read_back(tmp_path_factory, transcripts):
+    path = tmp_path_factory.mktemp("written") / "t.jsonl"
+    write_transcripts(transcripts, path)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines == [json.dumps(transcript_to_dict(t), ensure_ascii=False) for t in transcripts] + [""]
+    assert read_transcripts(path) == transcripts
 
 
 def _failing_from(failing_templates: set[str]):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from t3table.model import EVENT_ORDER, SummaryTable, TeamSide
-from t3table.tableio import CSV_HEADER, parse_model_table, to_csv
+from t3table.tableio import _EMITTED_CSV, CSV_HEADER, _parse_tolerant, parse_model_table, to_csv
 
 from conftest import EXAMPLE_TRUTH
 
@@ -43,6 +43,53 @@ def test_to_csv_has_no_trailing_whitespace():
 def test_round_trip(table):
     outcome = parse_model_table(to_csv(table))
     assert outcome.is_ok and outcome.table == table
+
+
+# the zero digit of Arabic-Indic, Devanagari and fullwidth digits
+_UNICODE_ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+def _spelled(value: str, kind: str, zero: str) -> str:
+    if kind == "leading_zeros":
+        return "00" + value
+    if kind == "unicode_digits":
+        return value.translate({ord("0") + i: ord(zero) + i for i in range(10)})
+    return f" {value} "  # padded
+
+
+@st.composite
+def perturbed_csv(draw) -> str:
+    """to_csv of a table, then any of: cells respelled, columns reordered, a row
+    added, a trailing newline, CRLF line ends, a markdown code fence."""
+    rows = [line.split(",") for line in to_csv(draw(tables)).split("\n")]
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.integers(1, 2)), draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["leading_zeros", "unicode_digits", "padded"]))
+        rows[row][col] = _spelled(rows[row][col], kind, draw(st.sampled_from(_UNICODE_ZEROS)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(9)))
+        rows = [[row[i] for i in order] for row in rows]
+    if draw(st.booleans()):
+        extra = [draw(st.sampled_from(["Total", "Home Team", "Away Team"]))] + [str(draw(st.integers(0, 9)))] * 8
+        rows.insert(draw(st.integers(1, len(rows))), extra)
+    text = "\n".join(",".join(row) for row in rows)
+    if draw(st.booleans()):
+        text += "\n"
+    if draw(st.booleans()):
+        text = "```csv\n" + text + "\n```"
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+@given(tables)
+def test_emitted_csv_takes_the_fast_path(table):
+    assert _EMITTED_CSV.fullmatch(to_csv(table)) is not None
+
+
+@given(perturbed_csv())
+def test_fast_path_agrees_with_the_tolerant_parser(text):
+    assert parse_model_table(text) == _parse_tolerant(text)
 
 
 def test_parse_markdown_pipe_table():
