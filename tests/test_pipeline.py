@@ -14,7 +14,6 @@ from t3table.backends import (
     BackendError,
     CachingBackend,
     LlmRequest,
-    LlmResponse,
     OracleBackend,
     StubBackend,
     zero_table_stub,
@@ -30,9 +29,8 @@ from t3table.pipeline import (
     transcript_to_dict,
     write_transcripts,
 )
-from t3table.tableio import ParsedTableOutcome
 from t3table.synth import GeneratorConfig, generate, oracle_extract
-from t3table.tableio import to_csv
+from t3table.tableio import ParsedTableOutcome, to_csv
 
 from conftest import case_table
 
