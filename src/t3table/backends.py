@@ -62,9 +62,11 @@ class LlmResponse:
     latency_s: float = 0.0
 
 
-def well_typed(r: LlmResponse) -> bool:
-    """Whether ``text`` is a string and the counts and latency int or float (``type()`` keeps out bool)."""
-    return isinstance(r.text, str) and all(type(n) in (int, float) for n in (r.prompt_tokens, r.completion_tokens, r.latency_s))
+def checked(r: LlmResponse) -> LlmResponse:
+    """``r`` if ``text`` is a string and the counts and latency int or float (``type()`` keeps out bool), else a BackendError."""
+    if not (isinstance(r.text, str) and all(type(n) in (int, float) for n in (r.prompt_tokens, r.completion_tokens, r.latency_s))):
+        raise BackendError(f"backend response has wrong-typed fields: {r!r:.300}")
+    return r
 
 
 class Backend(Protocol):
@@ -205,10 +207,9 @@ class CachingBackend:
         try:
             with open(path, "rb") as f:
                 # decoded first: json.loads of bytes would also accept UTF-16 and UTF-32
-                r = LlmResponse(**json.loads(f.read().decode("utf-8"))["response"])
-        except (FileNotFoundError, ValueError, KeyError, TypeError):  # bad JSON or UTF-8 is a ValueError
+                return checked(LlmResponse(**json.loads(f.read().decode("utf-8"))["response"]))
+        except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):  # bad JSON or UTF-8 is a ValueError
             return None
-        return r if well_typed(r) else None
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         path = self.cache_dir / f"{request.cache_key}.json"
@@ -224,7 +225,7 @@ class CachingBackend:
             if path.exists():
                 raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {request.cache_key}")
-        response = self.inner.complete(request)
+        response = checked(self.inner.complete(request))  # an entry _read rejects would never hit
         record = {"request": json.loads(request.canonical_json), "response": asdict(response)}
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")

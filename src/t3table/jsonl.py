@@ -39,8 +39,8 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
                 record = json.loads(line.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"text that is not UTF-8 {at}") from exc
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"invalid JSON {at}: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # also a number past int()'s digit limit, or deep nesting
+                raise DatasetError(f"invalid JSON {at}: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(record, dict) or "id" not in record:
                 raise DatasetError(f"record without an id {at}")
             record_id = str(record["id"])

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest, well_typed
+from .backends import Backend, BackendError, CachingBackend, LlmRequest, checked
 from .config import DEFAULT_MODEL
 from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
@@ -96,9 +96,7 @@ class _Run:
 
     def call(self, stage: int, messages: list[Message]) -> str:
         request = LlmRequest(model=self.model, messages=tuple(messages), temperature=self.temperature)
-        response = self.backend.complete(request)
-        if not well_typed(response):
-            raise BackendError(f"backend response has wrong-typed fields: {response!r:.300}")
+        response = checked(self.backend.complete(request))
         self.stages.append(
             StageRecord(stage=stage, kind="llm", prompt=tuple(messages), response=response.text, latency_s=response.latency_s)
         )

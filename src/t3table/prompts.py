@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .model import EVENT_ORDER, TEAM_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
-from .tableio import event_named, to_csv
+from .tableio import count_of, event_named, to_csv
 from .tuples import PAREN_GROUP
 
 Message = tuple[str, str]
@@ -193,12 +193,10 @@ def parse_count_tuples(text: str) -> SummaryTable | None:
         parts = [p.strip() for p in group.split(",")]
         if len(parts) != 3:
             continue
-        team_text, event_text, count_text = parts
-        team = team_named(team_text)
-        event = event_named(event_text)
-        if team is None or event is None or not count_text.isdigit():
+        team, event, count = team_named(parts[0]), event_named(parts[1]), count_of(parts[2])
+        if team is None or event is None or count is None:
             continue
-        cells[(team, event)] = int(count_text)
+        cells[(team, event)] = count
     if len(cells) < 16:
         return None
     return SummaryTable.from_cells(cells)

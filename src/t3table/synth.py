@@ -128,6 +128,7 @@ def _pattern(entry: _Entry) -> re.Pattern[str]:
 # how many word sets TemplateBank.candidates keeps the candidates of; bank
 # text holds a few dozen
 _WORD_SETS_KEPT = 4096
+_SENTENCES_KEPT = 16384  # how many sentences' tuples a TemplateBank keeps; 200 generated instances hold ~7,400
 
 
 def _literal_words(text: str) -> list[str]:
@@ -197,6 +198,8 @@ class TemplateBank:
         self._index_word_set = frozenset(index_words)
         # the candidates of each set of index words that a sentence held
         self._candidates_of: dict[frozenset[str], tuple[tuple[_Entry, re.Pattern[str]], ...]] = {}
+        # the tuples oracle_extract read from each sentence
+        self._tuples_of: dict[str, tuple[EventTuple, ...]] = {}
 
     def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
         """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
@@ -529,21 +532,27 @@ def oracle_extract(commentary: str, bank: TemplateBank | None = None) -> list[Ev
     elsewhere. Each sentence takes the first bank entry that fullmatches it.
     Only the bank's index candidates are tried, but they include every entry
     that could match and come in bank order, so the first match is the same
-    as in a scan of the whole bank.
+    as in a scan of the whole bank. The bank remembers each sentence's tuples.
     """
-    candidates = (bank or default_bank()).candidates
+    bank = bank or default_bank()
+    memo = bank._tuples_of
     tuples: list[EventTuple] = []
     for sentence in _sentences(commentary.strip()):
-        if not sentence:
-            continue
-        for entry, pattern in candidates(sentence):
-            m = pattern.fullmatch(sentence)
-            if m:
-                tuples.extend(_entry_tuples(entry, m))
-                break
-        else:
-            tuples.extend(_best_effort(sentence))
+        found = memo.get(sentence)
+        if found is None:
+            found = _read_sentence(bank, sentence)
+            if len(memo) < _SENTENCES_KEPT:  # foreign text can hold any sentence
+                memo[sentence] = found
+        tuples.extend(found)
     return tuples
+
+
+def _read_sentence(bank: TemplateBank, sentence: str) -> tuple[EventTuple, ...]:
+    for entry, pattern in bank.candidates(sentence):
+        m = pattern.fullmatch(sentence)
+        if m:
+            return tuple(_entry_tuples(entry, m))
+    return tuple(_best_effort(sentence))
 
 
 # --- anonymization -------------------------------------------------------------

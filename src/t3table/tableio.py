@@ -71,8 +71,15 @@ def event_named(text: str) -> EventType | None:
 # Filler cells make the whole table malformed: every cell is a required count.
 _FILLERS = {"", "-", "--", "n/a", "na", "none", "nil", "unknown", "not mentioned", "notmentioned"}
 
-_INT_CELL = re.compile(r"\A\d+\Z")
 _SEPARATOR_CELL = re.compile(r"\A:?-{2,}:?\Z")
+
+
+def count_of(cell: str) -> int | None:
+    """``cell`` as a count: None unless it is decimal digits (any script) that int() takes."""
+    try:
+        return int(cell) if cell.isdecimal() else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 def _split_row(line: str) -> list[str]:
@@ -125,7 +132,10 @@ def parse_model_table(text: str) -> ParsedTableOutcome:
     """
     emitted = _EMITTED_CSV.fullmatch(text)
     if emitted is not None:
-        return ParsedTableOutcome.ok(SummaryTable(tuple(map(int, emitted.groups()))))
+        try:
+            return ParsedTableOutcome.ok(SummaryTable(tuple(map(int, emitted.groups()))))
+        except ValueError:  # a count past int()'s digit limit: the tolerant parser reports it
+            pass
     return _parse_tolerant(text)
 
 
@@ -174,12 +184,13 @@ def _parse_tolerant(text: str) -> ParsedTableOutcome:
                         "filler_cell",
                         f"{side.display} {event.column_header} is {row[j].strip()!r}, not a count",
                     )
-                if not _INT_CELL.match(value):
+                count = count_of(value)
+                if count is None:
                     return ParsedTableOutcome.malformed(
                         "bad_cell",
                         f"{side.display} {event.column_header} is {row[j].strip()!r}, not a non-negative integer",
                     )
-                cells[(side, event)] = int(value)
+                cells[(side, event)] = count
         return ParsedTableOutcome.ok(SummaryTable.from_cells(cells))
 
     if saw_header:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import dataclasses
 import hashlib
 import json
 import sys
@@ -170,6 +171,28 @@ def test_replay_batch_with_a_bad_entry_fails_that_instance_only(tmp_path):
     transcripts = run_batch(dataset, prompts.T3, CachingBackend(tmp_path, inner=None))
     assert [t.outcome.reason_code for t in transcripts] == [None, "backend_error", None]
     assert entries[0].name in transcripts[1].outcome.detail
+
+
+@pytest.mark.parametrize("bad", [{"latency_s": True}, {"latency_s": "x"}, {"text": None}, {"prompt_tokens": 1.5j}],
+                         ids=["latency_bool", "latency_not_number", "text_none", "tokens_complex"])
+def test_cache_stores_only_well_typed_responses(tmp_path, bad):
+    oracle = OracleBackend()
+
+    class Malformed:
+        calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            return dataclasses.replace(oracle.complete(request), **bad)
+
+    dataset = generate(GeneratorConfig(seed=3), 2)
+    inner = Malformed()
+    for run in (1, 2):
+        transcripts = run_batch(dataset, prompts.T3, inner, cache_dir=tmp_path)
+        assert [t.outcome.reason_code for t in transcripts] == ["backend_error"] * 2
+        assert all("wrong-typed fields" in t.outcome.detail for t in transcripts)
+        assert inner.calls == 2 * run  # stage 1 of each instance, asked again each run
+        assert list(tmp_path.iterdir()) == []  # no entry and no temp file
 
 
 def test_cache_key_sensitive_to_model_messages_temperature():

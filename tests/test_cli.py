@@ -227,6 +227,29 @@ def test_autoqa_with_non_string_table_is_data_error(tmp_path, runner):
     assert "line 3" in result.output and "table must be a string" in result.output
 
 
+# json.loads raises a ValueError, not a JSONDecodeError, for an int of more than 4,300 digits,
+# and a RecursionError for deep nesting
+@pytest.mark.parametrize("file, field, spliced, message", [
+    ("t.jsonl", '"latency_s": 0.0', '"latency_s": ' + "9" * 5000, "digits"),
+    ("data.jsonl", '"table": [[', '"table": [[' + "9" * 5000, "digits"),  # digits put before the first cell's
+    ("data.jsonl", '"meta": {', '"meta": {"x": ' + "[" * 100_000 + "]" * 100_000 + ", ", "recursion"),
+], ids=["transcript_number_past_digit_limit", "dataset_number_past_digit_limit", "dataset_deep_nesting"])
+def test_json_that_python_cannot_load_is_data_error(tmp_path, runner, file, field, spliced, message):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    path = tmp_path / file
+    lines = path.read_text("utf-8").splitlines()
+    assert field in lines[1]
+    lines[1] = lines[1].replace(field, spliced, 1)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    result = runner.invoke(main, ["eval", "--transcripts", str(transcripts), "--dataset", str(data)])
+    assert result.exit_code == 3
+    assert f"line 2 of {path}" in result.output and message in result.output
+
+
 def test_eval_reports_filtered_count(tmp_path, runner):
     from t3table import prompts
     from t3table.backends import StubBackend

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
 import threading
 
 import pytest
@@ -26,6 +27,7 @@ from t3table.pipeline import (
     replay_outcome,
     run_batch,
     run_instance,
+    subprocess_integrator,
     transcript_to_dict,
     write_transcripts,
 )
@@ -151,6 +153,45 @@ def test_malformed_response_ends_only_its_instance(tmp_path, bad):
     path = tmp_path / "t.jsonl"
     write_transcripts(transcripts, path)
     assert read_transcripts(path) == transcripts
+
+
+_ZERO_COUNTS_WITH_A_SUPERSCRIPT = (
+    "from t3table.model import SummaryTable\n"
+    "from t3table.prompts import render_count_tuples\n"
+    "print(render_count_tuples(SummaryTable.zero()).replace('0)', '\\u00b2)', 1))\n"
+)
+
+
+_HUGE_CELL_CSV = to_csv(SummaryTable.zero()).replace(",0", "," + "9" * 5000, 1)
+
+
+def _with_junk_counts(template_id: str, text: str) -> str:
+    return text.replace("0)", "\u00b2)", 1) if template_id == "integrate_direct" else text
+
+
+# "\u00b2" passes str.isdigit but not int(); 5,000 digits are past int()'s digit limit
+@pytest.mark.parametrize("mode, answer, integrator, code", [
+    (prompts.ZERO_SHOT, lambda t, text: _HUGE_CELL_CSV, None, "bad_cell"),
+    (prompts.ZERO_SHOT, lambda t, text: "Here is the table:\n" + _HUGE_CELL_CSV, None, "bad_cell"),
+    (prompts.T3, lambda t, text: text, [sys.executable, "-c", _ZERO_COUNTS_WITH_A_SUPERSCRIPT], "backend_error"),
+    (prompts.T3_DIRECT, _with_junk_counts, None, None),
+], ids=["csv_cell_past_digit_limit", "tolerant_cell_past_digit_limit", "integrator_superscript", "t3d_superscript"])
+def test_junk_digits_end_only_as_an_outcome_that_replays(tmp_path, mode, answer, integrator, code):
+    oracle = OracleBackend()
+
+    class Junk:
+        def complete(self, request):
+            response = oracle.complete(request)
+            template_id = prompts.classify_prompt(request.last_text)[0]
+            return dataclasses.replace(response, text=answer(template_id, response.text))
+
+    transcripts = run_batch(generate(GeneratorConfig(seed=3), 2), mode, Junk(),
+                            integrator=integrator and subprocess_integrator(integrator))
+    assert [t.outcome.reason_code for t in transcripts] == [code, code]
+    path = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, path)
+    for back in read_transcripts(path):
+        assert replay_outcome(back) == back.outcome
 
 
 @pytest.mark.parametrize("parallelism", [1, 8])

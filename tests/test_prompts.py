@@ -130,5 +130,14 @@ def test_count_tuple_round_trip():
     assert parse_count_tuples(rendered) == table
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "9" * 5000, "2.5", "-1", ""], ids=["superscript", "past_digit_limit", "float", "negative", "empty"])
+def test_parse_count_tuples_skips_a_group_whose_count_is_not_one(count):
+    table = SummaryTable.from_rows([0, 5, 6, 1, 0, 5, 6, 6], [3, 12, 6, 0, 0, 3, 6, 2])
+    lines = render_count_tuples(table).split("\n")
+    bad = f"(Home Team, goals, {count})"
+    assert parse_count_tuples("\n".join([bad] + lines[1:])) is None  # 15 cells left
+    assert parse_count_tuples("\n".join([bad] + lines)) == table
+
+
 def test_parse_count_tuples_needs_all_cells():
     assert parse_count_tuples("(Home Team, goals, 1)") is None

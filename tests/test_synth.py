@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
+import threading
 from collections import Counter
 from importlib import resources
 
@@ -77,6 +79,13 @@ def test_each_render_matches_exactly_one_pattern():
 # --- indexed oracle vs a scan of the whole bank ----------------------------------------
 
 _BANK = default_bank()
+
+
+def _raw_bank() -> dict:
+    """The committed bank's JSON, to build a TemplateBank with a memo of its own."""
+    return json.loads(resources.files("t3table.assets").joinpath("template_bank.json").read_text("utf-8"))
+
+
 _SLOT = re.compile(r"\{([a-z0-9_]+)\}")
 # the reference sentence split: after . ! or ?, at the whitespace that follows
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -151,16 +160,97 @@ _foreign = st.text(alphabet="abcdefHPTlayerom ()0123456789.,!?-'", max_size=40)
 @example(["Player3(Away Team)'s left-footed shot from close range is saved in the top left corner."])
 def test_indexed_oracle_equals_linear_scan(sentences):
     commentary = " ".join(sentences)
-    assert oracle_extract(commentary) == linear_oracle_extract(commentary)
+    expected = linear_oracle_extract(commentary)
+    assert oracle_extract(commentary) == expected
+    bank = synth.TemplateBank(_raw_bank())
+    assert oracle_extract(commentary, bank) == expected  # cold: each sentence read from the templates
+    assert oracle_extract(commentary, bank) == expected  # warm: each sentence from the bank's memo
 
 
 def test_oracle_is_exact_when_the_candidate_memo_is_full(monkeypatch):
-    raw = resources.files("t3table.assets").joinpath("template_bank.json").read_text("utf-8")
     monkeypatch.setattr(synth, "_WORD_SETS_KEPT", 0)
-    bank = synth.TemplateBank(json.loads(raw))
+    bank = synth.TemplateBank(_raw_bank())
     for inst in generate(GeneratorConfig(seed=19), 5):
         assert oracle_extract(inst.commentary, bank) == oracle_extract(inst.commentary)
     assert bank._candidates_of == {}
+
+
+def test_oracle_is_exact_when_the_sentence_memo_is_full(monkeypatch):
+    monkeypatch.setattr(synth, "_SENTENCES_KEPT", 0)
+    bank = synth.TemplateBank(_raw_bank())
+    for inst in generate(GeneratorConfig(seed=19), 5):
+        assert oracle_extract(inst.commentary, bank) == linear_oracle_extract(inst.commentary)
+    assert bank._tuples_of == {}
+
+
+def test_sentence_memo_stays_bounded():
+    bank = synth.TemplateBank(_raw_bank())
+    foreign = " ".join(f"Minute {i} passes quietly." for i in range(20_000))
+    assert oracle_extract(foreign + " Foul by Player7(Away Team).", bank) == [
+        EventTuple(AWAY, RawEventLabel.FOUL, "Player7")
+    ]  # a sentence past the bound is still read
+    assert len(bank._tuples_of) == synth._SENTENCES_KEPT  # the first sentences are kept
+    assert "Minute 0 passes quietly." in bank._tuples_of
+
+
+def test_oracle_reads_each_distinct_sentence_once(monkeypatch):
+    bank = synth.TemplateBank(_raw_bank())
+    commentary = " ".join(inst.commentary for inst in generate(GeneratorConfig(seed=19), 5))
+    read = Counter()
+    real = synth._read_sentence
+
+    def counted(bank, sentence):
+        read[sentence] += 1
+        return real(bank, sentence)
+
+    monkeypatch.setattr(synth, "_read_sentence", counted)
+    first = oracle_extract(commentary, bank)
+    assert oracle_extract(commentary, bank) == first == linear_oracle_extract(commentary)
+    assert read == Counter(set(_sentences(commentary)))
+
+
+def test_threads_sharing_a_bank_read_what_one_thread_reads(monkeypatch):
+    monkeypatch.setattr(synth, "_SENTENCES_KEPT", 64)  # the bound is reached while threads race
+    commentaries = [inst.commentary for inst in generate(GeneratorConfig(seed=23), 8)]
+    expected = [linear_oracle_extract(c) for c in commentaries]
+    bank = synth.TemplateBank(_raw_bank())
+    results: dict[int, list] = {}
+
+    def work(i: int) -> None:
+        for _ in range(3):
+            results[i] = [oracle_extract(c, bank) for c in commentaries[i:] + commentaries[:i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expected[i:] + expected[:i] for i in range(8))
+    # a race can only read a sentence twice, or let each thread past the bound once
+    assert len(bank._tuples_of) < 64 + 8
+    assert all(bank._tuples_of[s] == synth._read_sentence(bank, s) for s in bank._tuples_of)
+
+
+def test_a_bank_reads_only_its_own_memo(monkeypatch):
+    monkeypatch.setattr(default_bank(), "_tuples_of", {})  # room to keep the sentence, whatever ran before
+    raw = _raw_bank()
+    for item in raw["events"]["foul"]:
+        for event in item["events"]:
+            event["label"] = "handball"
+    custom = synth.TemplateBank(raw)
+    sentence = "Foul by Player7(Away Team)."
+    foul, handball = (EventTuple(AWAY, label, "Player7") for label in (RawEventLabel.FOUL, RawEventLabel.HANDBALL))
+    assert oracle_extract(sentence) == [foul]  # the default bank's memo now holds the sentence
+    assert oracle_extract(sentence, custom) == [handball]
+    assert oracle_extract(sentence, custom) == [handball]
+    assert oracle_extract(sentence) == [foul]
+    assert default_bank()._tuples_of[sentence] == (foul,) and custom._tuples_of[sentence] == (handball,)
 
 
 def test_generation_compiles_no_oracle_pattern(monkeypatch):

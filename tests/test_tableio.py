@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from t3table.model import EVENT_ORDER, SummaryTable, TeamSide
-from t3table.tableio import _EMITTED_CSV, CSV_HEADER, _parse_tolerant, parse_model_table, to_csv
+from t3table.tableio import _EMITTED_CSV, CSV_HEADER, _parse_tolerant, count_of, parse_model_table, to_csv
 
 from conftest import EXAMPLE_TRUTH
 
@@ -163,6 +163,32 @@ def test_parse_negative_or_float_cells_malformed():
         text = to_csv(EXAMPLE_TRUTH).replace("Home Team,0", f"Home Team,{bad}")
         outcome = parse_model_table(text)
         assert not outcome.is_ok
+
+
+@pytest.mark.parametrize("cell, count", [
+    ("7", 7), ("007", 7), ("\u0663", 3), ("\uff19\uff10", 90),
+    pytest.param("9" * 4300, int("9" * 4300), id="at_digit_limit"),
+    ("", None), ("-1", None), ("2.5", None), (" 1", None), ("\u00b2", None), ("\u2460", None),
+    pytest.param("9" * 5000, None, id="past_digit_limit"),
+])
+def test_count_of(cell, count):
+    assert count_of(cell) == count
+
+
+def _markdown(csv_text: str) -> str:
+    rows = ["| " + " | ".join(line.split(",")) + " |" for line in csv_text.split("\n")]
+    return "\n".join(rows[:1] + ["|" + "---|" * 9] + rows[1:])
+
+
+# "\u00b2" (superscript two) passes str.isdigit but not int(); 5,000 digits are past int()'s limit
+@pytest.mark.parametrize("cell", ["9" * 5000, "\u0669" * 5000, "\u00b2"], ids=["ascii_digits", "arabic_indic_digits", "superscript"])
+@pytest.mark.parametrize("shape", [str, _markdown], ids=["csv", "markdown"])
+def test_junk_digits_are_a_bad_cell_on_both_paths(cell, shape):
+    text = shape(to_csv(EXAMPLE_TRUTH).replace("Home Team,0", f"Home Team,{cell}"))
+    for parse in (parse_model_table, _parse_tolerant):
+        outcome = parse(text)
+        assert (outcome.table, outcome.reason_code) == (None, "bad_cell")
+        assert "Home Team Goals is" in outcome.detail
 
 
 def test_parse_single_team_row_malformed():
