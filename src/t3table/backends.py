@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import prompts
+from .jsonl import is_number, load_json
 from .model import SummaryTable
 from .tableio import to_csv
 from .tuples import integrate, parse_tuples
@@ -63,8 +64,8 @@ class LlmResponse:
 
 
 def checked(r: LlmResponse) -> LlmResponse:
-    """``r`` if ``text`` is a string and the counts and latency int or float (``type()`` keeps out bool), else a BackendError."""
-    if not (isinstance(r.text, str) and all(type(n) in (int, float) for n in (r.prompt_tokens, r.completion_tokens, r.latency_s))):
+    """``r`` if ``text`` is a string and the counts and latency numbers (as jsonl.is_number), else a BackendError."""
+    if not (isinstance(r.text, str) and all(map(is_number, (r.prompt_tokens, r.completion_tokens, r.latency_s)))):
         raise BackendError(f"backend response has wrong-typed fields: {r!r:.300}")
     return r
 
@@ -196,23 +197,24 @@ class CachingBackend:
     def __init__(self, cache_dir: str | Path, inner: Backend | None = None) -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.cache_dir)  # os.path.join on it is cheaper than the Path's "/"
         self.inner = inner
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     @staticmethod
-    def _read(path: Path) -> LlmResponse | None:
+    def _read(path: str) -> LlmResponse | None:
         """The response a cache entry holds; None if it is missing or does not decode."""
         try:
             with open(path, "rb") as f:
-                # decoded first: json.loads of bytes would also accept UTF-16 and UTF-32
-                return checked(LlmResponse(**json.loads(f.read().decode("utf-8"))["response"]))
-        except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):  # bad JSON or UTF-8 is a ValueError
+                return checked(LlmResponse(**load_json(f.read())["response"]))
+        except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):
             return None
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        path = self.cache_dir / f"{request.cache_key}.json"
+        key = request.cache_key
+        path = os.path.join(self._dir, key + ".json")
         response = self._read(path)
         if response is not None:
             with self._lock:
@@ -222,13 +224,13 @@ class CachingBackend:
         with self._lock:
             self.misses += 1
         if self.inner is None:
-            if path.exists():
+            if os.path.exists(path):
                 raise BackendError(f"replay cache entry {path} does not decode")
-            raise BackendError(f"replay cache miss for request {request.cache_key}")
+            raise BackendError(f"replay cache miss for request {key}")
         response = checked(self.inner.complete(request))  # an entry _read rejects would never hit
         record = {"request": json.loads(request.canonical_json), "response": asdict(response)}
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
+        tmp = os.path.join(self._dir, f"{key}.tmp-{os.getpid()}-{threading.get_ident()}")
+        Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
         os.replace(tmp, path)
         return response
 

@@ -8,6 +8,7 @@ the line.
 from __future__ import annotations
 
 import json
+from math import inf
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -36,10 +37,10 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
                 continue
             at = f"at line {line_no} of {path}"
             try:
-                record = json.loads(line.decode("utf-8"))
+                record = load_json(line)
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"text that is not UTF-8 {at}") from exc
-            except (ValueError, RecursionError) as exc:  # also a number past int()'s digit limit, or deep nesting
+            except ValueError as exc:
                 raise DatasetError(f"invalid JSON {at}: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(record, dict) or "id" not in record:
                 raise DatasetError(f"record without an id {at}")
@@ -56,6 +57,23 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     return out
 
 
+def load_json(data: bytes) -> object:
+    """The JSON value in ``data``, decoded as UTF-8 first (json.loads of bytes
+    would also take UTF-16). Anything Python cannot load is a ValueError: bytes
+    that are not UTF-8, bad JSON, a number past int()'s digit limit, deep nesting."""
+    text = data.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deep: {exc}") from exc
+
+
+def is_number(value: object) -> bool:
+    """Whether ``value`` is an int or a finite float; ``type()`` keeps out bool.
+    Unlike math.isfinite, the comparison takes an int of any size."""
+    return type(value) in (int, float) and -inf < value < inf
+
+
 def string_field(record: dict, key: str, default: str | None = None) -> str:
     """``record[key]``, which must be a string; any other type is a TypeError.
 
@@ -68,10 +86,10 @@ def string_field(record: dict, key: str, default: str | None = None) -> str:
 
 
 def number_field(record: dict, key: str, default: float | None = None) -> float:
-    """``record[key]``, which must be an int or a float (not a bool), as string_field."""
+    """``record[key]``, which must pass is_number, as string_field."""
     value = record[key] if default is None else record.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
+    if not is_number(value):
+        raise TypeError(f"{key} must be a number (an int or a finite float), got {value!r:.40}")
     return value
 
 

@@ -14,7 +14,7 @@ import subprocess
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -265,6 +265,11 @@ def _tuple_to_dict(tp: EventTuple) -> dict:
 
 
 def transcript_to_dict(t: RunTranscript) -> dict:
+    return _record(t, [_tuple_to_dict(tp) for tp in t.tuples])
+
+
+def _record(t: RunTranscript, tuples: list) -> dict:
+    """transcript_to_dict(t), with ``tuples`` in place of t's encoded tuples."""
     outcome: dict
     if t.outcome.is_ok:
         assert t.outcome.table is not None
@@ -284,7 +289,7 @@ def transcript_to_dict(t: RunTranscript) -> dict:
             }
             for s in t.stages
         ],
-        "tuples": [_tuple_to_dict(tp) for tp in t.tuples],
+        "tuples": tuples,
         "rejected_lines": [[line, reason] for line, reason in t.rejected_lines],
         "unknown_label_count": t.unknown_label_count,
         "final_table_text": t.final_table_text,
@@ -306,8 +311,8 @@ def _transcript_line(t: RunTranscript) -> str:
     the fields after it hold strings and numbers, and an encoded string
     escapes every quote. (The id before it may be any JSON value.)
     """
-    head, _, tail = to_json(transcript_to_dict(replace(t, tuples=()))).rpartition('"tuples": []')
-    return head + '"tuples": [' + ", ".join(map(_tuple_json, t.tuples)) + "]" + tail
+    head, _, tail = to_json(_record(t, [])).rpartition('"tuples": []')
+    return "".join((head, '"tuples": [', ", ".join(map(_tuple_json, t.tuples)), "]", tail))
 
 
 # Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups

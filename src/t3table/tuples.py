@@ -68,6 +68,9 @@ class TupleParseReport:
 
 # one parenthesised group, the unit of both tuple and count-tuple listings
 PAREN_GROUP = re.compile(r"\(([^()]*)\)")
+# PAREN_GROUP with no str.splitlines boundary between its parens, so its
+# matches over a whole text are PAREN_GROUP's matches line by line, in order
+_LINE_GROUP = re.compile(r"\(([^()\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*)\)")
 
 
 # Model output spells a small tuple vocabulary (player tags x teams x labels)
@@ -100,14 +103,34 @@ def parse_tuples(text: str) -> TupleParseReport:
     rejected. Player fields that are not Player<n> tags are dropped (the team
     still counts); teams that resolve to neither home nor away reject the line.
     Equal groups give the same (immutable) tuple object.
+
+    The groups of the whole text are read in one pass; only a text with a
+    rejected group is read again line by line, to name each rejected line.
     """
+    # anonymized tags sometimes leak into tuples as Player5(Home Team); their
+    # parens break the tuple grammar, so strip the decoration first. A tag
+    # never spans lines, so this equals stripping it line by line.
+    stripped = DECORATED_TAG.sub(r"\1", text) if " Team)" in text else text  # every decorated tag ends so
+    tuples: list[EventTuple] = []
+    unknown = 0
+    for read in map(_read_group, _LINE_GROUP.findall(stripped)):
+        if read is None:
+            continue
+        if isinstance(read, str):
+            return _parse_lines(text)
+        if isinstance(read.label, Unknown):
+            unknown += 1
+        tuples.append(read)
+    return TupleParseReport(tuple(tuples), (), unknown)
+
+
+def _parse_lines(text: str) -> TupleParseReport:
+    """parse_tuples line by line, which names the line of each rejected group."""
     tuples: list[EventTuple] = []
     rejected: list[tuple[str, str]] = []
     unknown = 0
     for line in text.splitlines():
-        # anonymized tags sometimes leak into tuples as Player5(Home Team);
-        # their parens break the tuple grammar, so strip the decoration first
-        if " Team)" in line:  # every decorated tag ends so
+        if " Team)" in line:
             line = DECORATED_TAG.sub(r"\1", line)
         for group in PAREN_GROUP.findall(line):
             read = _read_group(group)

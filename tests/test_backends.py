@@ -133,10 +133,16 @@ _VALID_ENTRY = '{"response": {"text": "old"}}'
                                    b'{"response": {"text": "old", "latency_s": true}}',
                                    b'{"response": {"text": "old", "prompt_tokens": "7"}}',
                                    b'{"response": {"text": "old", "completion_tokens": null}}',
-                                   _VALID_ENTRY.encode("utf-16"), codecs.BOM_UTF8 + _VALID_ENTRY.encode()],
+                                   _VALID_ENTRY.encode("utf-16"), codecs.BOM_UTF8 + _VALID_ENTRY.encode(),
+                                   b"[" * 100_000 + b"]" * 100_000,
+                                   b'{"response": {"text": "old", "latency_s": NaN}}',
+                                   b'{"response": {"text": "old", "latency_s": -Infinity}}',
+                                   b'{"response": {"text": "old", "latency_s": ' + b"9" * 400 + b'.0}}',
+                                   b'{"response": {"text": "old", "prompt_tokens": 1e400}}'],
                          ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8",
                               "latency_not_number", "latency_bool", "tokens_not_number", "tokens_null",
-                              "utf16_with_bom", "utf8_with_bom"])
+                              "utf16_with_bom", "utf8_with_bom", "nested_too_deep",
+                              "latency_nan", "latency_minus_infinity", "latency_overflows", "tokens_overflow"])
 def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     inner = b.StubBackend("fresh")
     backend = CachingBackend(tmp_path, inner)
@@ -159,6 +165,34 @@ def test_cache_entry_that_does_not_decode_fails_replay(tmp_path):
     assert replay.misses == 1 and replay.hits == 0
 
 
+def _nest_stage_1_entry(cache_dir, instance) -> str:
+    """Rewrite the stage-1 cache entry of ``instance`` (its prompt holds the
+    commentary) as 100,000 nested arrays; the entry's file name."""
+    (entry,) = [p for p in cache_dir.glob("*.json") if instance.commentary in p.read_text("utf-8")]
+    entry.write_text("[" * 100_000 + "]" * 100_000, "utf-8")
+    return entry.name
+
+
+def test_entry_nested_too_deep_is_fetched_again_in_a_batch(tmp_path):
+    dataset = generate(GeneratorConfig(seed=3), 3)
+    run_batch(dataset, prompts.T3, OracleBackend(), cache_dir=tmp_path)
+    name = _nest_stage_1_entry(tmp_path, dataset[1])
+    inner = OracleBackend()
+    transcripts = run_batch(dataset, prompts.T3, inner, cache_dir=tmp_path)
+    assert [t.outcome.reason_code for t in transcripts] == [None] * 3
+    assert inner.calls == 1
+    assert json.loads((tmp_path / name).read_text("utf-8"))["response"]["text"] == transcripts[1].stages[0].response
+
+
+def test_entry_nested_too_deep_fails_replay_of_that_instance_only(tmp_path):
+    dataset = generate(GeneratorConfig(seed=3), 3)
+    run_batch(dataset, prompts.T3, OracleBackend(), cache_dir=tmp_path)
+    name = _nest_stage_1_entry(tmp_path, dataset[1])
+    transcripts = run_batch(dataset, prompts.T3, CachingBackend(tmp_path, inner=None))
+    assert [t.outcome.reason_code for t in transcripts] == [None, "backend_error", None]
+    assert name in transcripts[1].outcome.detail and "does not decode" in transcripts[1].outcome.detail
+
+
 def test_replay_batch_with_a_bad_entry_fails_that_instance_only(tmp_path):
     dataset = generate(GeneratorConfig(seed=3), 3)
     run_batch(dataset, prompts.T3, OracleBackend(), cache_dir=tmp_path)
@@ -173,8 +207,10 @@ def test_replay_batch_with_a_bad_entry_fails_that_instance_only(tmp_path):
     assert entries[0].name in transcripts[1].outcome.detail
 
 
-@pytest.mark.parametrize("bad", [{"latency_s": True}, {"latency_s": "x"}, {"text": None}, {"prompt_tokens": 1.5j}],
-                         ids=["latency_bool", "latency_not_number", "text_none", "tokens_complex"])
+@pytest.mark.parametrize("bad", [{"latency_s": True}, {"latency_s": "x"}, {"text": None}, {"prompt_tokens": 1.5j},
+                                 {"latency_s": float("nan")}, {"latency_s": float("inf")}],
+                         ids=["latency_bool", "latency_not_number", "text_none", "tokens_complex",
+                              "latency_nan", "latency_infinity"])
 def test_cache_stores_only_well_typed_responses(tmp_path, bad):
     oracle = OracleBackend()
 

@@ -250,6 +250,28 @@ def test_json_that_python_cannot_load_is_data_error(tmp_path, runner, file, fiel
     assert f"line 2 of {path}" in result.output and message in result.output
 
 
+# json.loads reads NaN and Infinity, and a float too large for a double as inf
+@pytest.mark.parametrize("spliced", ["NaN", "Infinity", "-Infinity", "9" * 400 + ".0", "1e400"],
+                         ids=["nan", "infinity", "minus_infinity", "overflowing_decimal", "overflowing_exponent"])
+@pytest.mark.parametrize("which", ["stage", "record"])
+def test_non_finite_number_in_a_transcript_is_data_error(tmp_path, runner, spliced, which):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    lines = transcripts.read_text("utf-8").splitlines()
+    # the first latency is stage 1's, the last the record's own
+    split = lines[1].partition if which == "stage" else lines[1].rpartition
+    head, sep, tail = split('"latency_s": 0.0')
+    assert sep
+    lines[1] = f'{head}"latency_s": {spliced}{tail}'
+    transcripts.write_text("\n".join(lines) + "\n", "utf-8")
+    result = runner.invoke(main, ["eval", "--transcripts", str(transcripts), "--dataset", str(data)])
+    assert result.exit_code == 3
+    assert f"line 2 of {transcripts}" in result.output and "latency_s must be a number" in result.output
+
+
 def test_eval_reports_filtered_count(tmp_path, runner):
     from t3table import prompts
     from t3table.backends import StubBackend

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t3table.model import (
@@ -193,7 +193,67 @@ _line = st.builds(
 )
 
 
-@given(st.lists(_line, max_size=6).map("\n".join))
+# Every line boundary of str.splitlines (checked over all of Unicode below),
+# "\r\n", which it reads as one, and three characters that are not boundaries
+_BOUNDARIES = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_separator = st.sampled_from(_BOUNDARIES + ("\r\n", "\x1f", "\t", " "))
+_rejected_group = st.one_of(
+    st.builds("({}, {}, {}, {})".format, _player_field, _team_field, _label_field, _label_field),
+    st.builds("({}, {}, {})".format, _player_field, st.sampled_from(["Blue Team", "Visitors", ""]), _label_field),
+)
+# a group that opens on one line and closes on the next; on one line its team
+# would resolve, so it is never rejected
+_spanning_group = st.builds(
+    "({},{}{})".format, st.sampled_from(["Home Team", "Away Team"]), st.sampled_from(_BOUNDARIES + ("\r\n",)), _label_field
+)
+_pieces_without_rejects = st.one_of(
+    _spanning_group,
+    st.builds("({}, {})".format, st.sampled_from(["Home Team", "Away Team"]), _label_field),
+    # a decorated tag at a line's end, and one decorated twice
+    _decorated_tag,
+    st.builds("{}({} Team)".format, _decorated_tag, st.sampled_from(["Home", "Away"])),
+)
+_pieces = st.one_of(
+    _pieces_without_rejects,
+    _group,
+    _rejected_group,
+    st.builds("({},{}{}, {})".format, _player_field, _separator, _team_field, _label_field),
+)
+
+
+def _texts(pieces):
+    """Pieces, each followed by a separator."""
+    return st.lists(st.tuples(pieces, _separator).map("".join), max_size=10).map("".join)
+
+
+def test_boundaries_are_every_splitlines_boundary():
+    found = tuple(c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2)
+    assert sorted(found) == sorted(_BOUNDARIES)
+
+
+@pytest.mark.parametrize("boundary", _BOUNDARIES + ("\r\n",), ids=lambda b: f"U+{ord(b[0]):04X}")
+def test_a_group_never_spans_a_line_boundary(boundary):
+    text = f"(Home Team, goal)(Home Team,{boundary}corner kick)(Away Team, foul)"
+    assert parse_tuples(text) == reference_parse_tuples(text)
+    assert [t.label for t in parse_tuples(text).tuples] == [RawEventLabel.GOAL, RawEventLabel.FOUL]
+
+
+def test_a_rejected_line_is_named_with_its_tag_stripped_once():
+    text = "(Home Team, goal)\nPlayer5(Home Team)(Away Team) (Player5, Blue Team, goal)"
+    assert parse_tuples(text).rejected_lines == (("Player5(Away Team) (Player5, Blue Team, goal)", "unresolvable team"),)
+    assert parse_tuples(text) == reference_parse_tuples(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(_line, max_size=6).map("\n".join),
+    # with no rejected group, the one-pass reading is the whole answer
+    _texts(_pieces_without_rejects),
+    _texts(_pieces),
+    # a rejected group after accepted ones
+    st.builds("{}{}{}{}{}".format, st.lists(_group, max_size=4).map("\n".join), _separator, _rejected_group,
+              _separator, _texts(_pieces)),
+))
 def test_parse_tuples_matches_reference_cold_and_warm(text):
     expected = reference_parse_tuples(text)
     _read_group.cache_clear()
