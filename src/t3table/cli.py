@@ -182,13 +182,13 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
     transcripts = _load(read_transcripts, transcripts_path)
     dataset = _load(read_dataset, dataset_path)
     truth = {inst.id: inst.ground_truth for inst in dataset if inst.ground_truth is not None}
-    missing = [t.instance_id for t in transcripts if t.instance_id not in truth]
+    missing = [str(t.instance_id) for t in transcripts if str(t.instance_id) not in truth]
     if missing:
         raise DataError(
             "transcript ids missing from dataset ground truth: " + ", ".join(sorted(missing))
         )
     rep = report(
-        [(t.outcome, truth[t.instance_id]) for t in transcripts],
+        [(t.outcome, truth[str(t.instance_id)]) for t in transcripts],
         per_instance_average=per_instance_average,
     )
     click.echo(render_report_text(rep))
@@ -197,7 +197,7 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
         instances = []
         for t in transcripts:
             if t.outcome.is_ok:
-                scores = evaluation.score_instance(t.outcome.table, truth[t.instance_id])
+                scores = evaluation.score_instance(t.outcome.table, truth[str(t.instance_id)])
                 instances.append(
                     {"id": t.instance_id, "rmse": scores.rmse(), "error_rate": scores.error_rate()}
                 )
@@ -271,7 +271,7 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
 @click.option("--id", "instance_id", required=True)
 def inspect(transcripts_path: str, dataset_path: str, instance_id: str) -> None:
     """Pretty-print one transcript with stage-by-stage diffs against ground truth."""
-    transcripts = {t.instance_id: t for t in _load(read_transcripts, transcripts_path)}
+    transcripts = {str(t.instance_id): t for t in _load(read_transcripts, transcripts_path)}
     dataset = {inst.id: inst for inst in _load(read_dataset, dataset_path)}
     if instance_id not in transcripts:
         raise DataError(f"no transcript for id {instance_id!r}")

@@ -21,8 +21,19 @@ class DatasetError(ValueError):
     """Raised for malformed JSONL files; message names the offending line."""
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
-    """``decode`` of every record in the file, in file order.
+def load_json(data: bytes) -> object:
+    """The JSON value in ``data``, decoded as UTF-8 first (json.loads of bytes
+    would also take UTF-16). Anything Python cannot load is a ValueError: bytes
+    that are not UTF-8, bad JSON, a number past int()'s digit limit, deep nesting."""
+    text = data.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deep: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], T], load: Callable[[bytes], object] = load_json) -> list[T]:
+    """``decode`` of every record in the file, in file order; ``load`` reads a line as load_json does.
 
     Blank lines are skipped. Invalid JSON, a line that is not an object, a
     missing or duplicate id, and an AttributeError, KeyError, TypeError or
@@ -37,7 +48,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
                 continue
             at = f"at line {line_no} of {path}"
             try:
-                record = load_json(line)
+                record = load(line)
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"text that is not UTF-8 {at}") from exc
             except ValueError as exc:
@@ -55,17 +66,6 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"bad record {at}: {type(exc).__name__}: {exc}") from exc
     return out
-
-
-def load_json(data: bytes) -> object:
-    """The JSON value in ``data``, decoded as UTF-8 first (json.loads of bytes
-    would also take UTF-16). Anything Python cannot load is a ValueError: bytes
-    that are not UTF-8, bad JSON, a number past int()'s digit limit, deep nesting."""
-    text = data.decode("utf-8")
-    try:
-        return json.loads(text)
-    except RecursionError as exc:
-        raise ValueError(f"nested too deep: {exc}") from exc
 
 
 def is_number(value: object) -> bool:

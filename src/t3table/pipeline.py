@@ -9,6 +9,7 @@ replayed through the parsers.
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import threading
@@ -16,13 +17,14 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, checked
 from .config import DEFAULT_MODEL
-from .jsonl import count_field, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
+from .jsonl import count_field, load_json, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -298,10 +300,16 @@ def _record(t: RunTranscript, tuples: list) -> dict:
     }
 
 
-# Each distinct tuple is encoded once; bounded as _decode_tuple's memo is
+# Each distinct tuple is encoded once, keyed by its fields: they hash in C, an EventTuple in Python
 @lru_cache(maxsize=4096)
-def _tuple_json(tp: EventTuple) -> str:
-    return to_json(_tuple_to_dict(tp))
+def _tuple_json(fields: tuple[TeamSide, RawEventLabel | Unknown, str | None]) -> str:
+    return to_json(_tuple_to_dict(EventTuple(*fields)))
+
+
+_FIELDS = attrgetter("team", "label", "player")
+# The inverse of _tuple_json, without the braces. Its keys are made from the tuples that a full
+# decode gave, never taken from file text: a piece of a line that is a key is that tuple's text.
+_TUPLE_BY_JSON: dict[str, EventTuple] = {}
 
 
 def _transcript_line(t: RunTranscript) -> str:
@@ -312,7 +320,7 @@ def _transcript_line(t: RunTranscript) -> str:
     escapes every quote. (The id before it may be any JSON value.)
     """
     head, _, tail = to_json(_record(t, [])).rpartition('"tuples": []')
-    return "".join((head, '"tuples": [', ", ".join(map(_tuple_json, t.tuples)), "]", tail))
+    return "".join((head, '"tuples": [', ", ".join(map(_tuple_json, map(_FIELDS, t.tuples))), "]", tail))
 
 
 # Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
@@ -333,7 +341,9 @@ def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> Eve
     return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
 
 
-def _tuples_from_dicts(records: list) -> tuple[EventTuple, ...]:
+def _tuples_from_dicts(records: list | tuple) -> tuple[EventTuple, ...]:
+    if type(records) is tuple:  # already decoded by _load_transcript; a JSON array loads as a list
+        return records
     out = []
     for d in records:
         # checked before the memo: as cache keys 1 and True are equal
@@ -341,7 +351,34 @@ def _tuples_from_dicts(records: list) -> tuple[EventTuple, ...]:
         if known is not True and known is not False:
             raise TypeError(f"known must be a bool, got {type(known).__name__}")
         out.append(_decode_tuple(d["team"], d["event"], known, d.get("player")))
+    if len(_TUPLE_BY_JSON) + len(out) > 4096:  # bounded as _decode_tuple's memo is
+        _TUPLE_BY_JSON.clear()
+    _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[:4096])
     return tuple(out)
+
+
+def _load_transcript(data: bytes) -> object:
+    """load_json(data), with the tuples array taken from _TUPLE_BY_JSON when its every piece is a key.
+
+    Sound: in a line that loads, the token after '"tuples": ' is outside any string, so a lone NaN is
+    the one put there and the line held no other constant; as the record's own "tuples" it marks the
+    value json.loads keeps; and pieces that are keys make an array of valid JSON for the memo's values.
+    """
+    text = data.decode("utf-8")
+    at = text.rfind('"tuples": [')  # the writer's key; '"tuples": []' when there are none
+    end = text.find('}], "rejected_lines": ', at)
+    if at >= 0 and end >= 0 and text.startswith("{", at + 11):
+        head, body, tail = text[: at + 10], text[at + 12 : end], text[end + 2 :]
+        seen: list[str] = []  # the constants the line holds; the hook returns the list itself as a marker
+        try:
+            tuples = tuple([_TUPLE_BY_JSON[piece] for piece in body.split("}, {")])
+            record = json.loads(head + "NaN" + tail, parse_constant=lambda c: seen.append(c) or seen)
+        except (KeyError, ValueError, RecursionError):
+            return load_json(data)
+        if seen == ["NaN"] and isinstance(record, dict) and record.get("tuples") is seen:
+            record["tuples"] = tuples
+            return record
+    return load_json(data)
 
 
 def _stage_number(s: dict) -> int:
@@ -391,4 +428,4 @@ def write_transcripts(transcripts: Iterable[RunTranscript], path: str | Path) ->
 
 
 def read_transcripts(path: str | Path) -> list[RunTranscript]:
-    return read_jsonl(path, transcript_from_dict)
+    return read_jsonl(path, transcript_from_dict, _load_transcript)

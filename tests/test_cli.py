@@ -147,6 +147,27 @@ def test_eval_missing_ids_is_data_error(tmp_path, runner):
     assert "synth-1-00000" in result.output
 
 
+@pytest.mark.parametrize("record_id", [5, None, ["a"]], ids=["int", "null", "list"])
+def test_transcript_id_that_is_not_a_string_is_data_error(tmp_path, runner, record_id):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "3", "--seed", "3"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    _corrupt_line(transcripts, 2, lambda r: r.update(id=record_id))
+    shown = str(record_id)
+    result = runner.invoke(main, ["eval", "--transcripts", str(transcripts), "--dataset", str(data)])
+    assert result.exit_code == 3
+    assert f"missing from dataset ground truth: {shown}" in result.output
+    # inspect finds the transcript by the same str(), and still shows the others
+    result = runner.invoke(main, ["inspect", "--id", shown, "--transcripts", str(transcripts), "--dataset", str(data)])
+    assert result.exit_code == 3
+    assert f"no dataset instance for id {shown!r}" in result.output
+    result = runner.invoke(main, ["inspect", "--id", "synth-3-00000", "--transcripts", str(transcripts),
+                                  "--dataset", str(data)])
+    assert result.exit_code == 0
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda r: r.update(stages=5), "TypeError", id="stages"),
     pytest.param(lambda r: r.update(rejected_lines=[[5, 6]]), "rejected_lines must be", id="rejected_lines"),

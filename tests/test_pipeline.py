@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t3table import prompts
+from t3table import pipeline, prompts
 from t3table.backends import (
     BackendError,
     CachingBackend,
@@ -19,6 +20,7 @@ from t3table.backends import (
     StubBackend,
     zero_table_stub,
 )
+from t3table.jsonl import DatasetError, load_json, read_jsonl
 from t3table.model import EventTuple, RawEventLabel, SummaryTable, TeamSide, Unknown
 from t3table.pipeline import (
     RunTranscript,
@@ -28,6 +30,7 @@ from t3table.pipeline import (
     run_batch,
     run_instance,
     subprocess_integrator,
+    transcript_from_dict,
     transcript_to_dict,
     write_transcripts,
 )
@@ -326,6 +329,101 @@ def test_written_lines_are_json_dumps_of_the_dicts_and_read_back(tmp_path_factor
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines == [json.dumps(transcript_to_dict(t), ensure_ascii=False) for t in transcripts] + [""]
     assert read_transcripts(path) == transcripts
+
+
+@functools.cache
+def _t3_lines() -> list[str]:
+    """Oracle t3 lines of 3 seed-3 instances, then one whose Unknown labels hold
+    the writer's separator and one whose prompt holds the writer's tuple text."""
+    transcripts = run_batch(generate(GeneratorConfig(seed=3), 3), prompts.T3, OracleBackend())
+    first = transcripts[0]
+    odd = tuple(EventTuple(TeamSide.AWAY, Unknown(text)) for text in ("a}, {b", '"}, {"', "}], "))
+    member = json.dumps({"tuples": [transcript_to_dict(first)["tuples"][0]], "rejected_lines": []})[1:-1]
+    transcripts += [
+        dataclasses.replace(first, instance_id="odd", tuples=first.tuples[:2] + odd + first.tuples[2:]),
+        dataclasses.replace(first, instance_id="prompt", stages=(StageRecord(1, "llm", (("user", member),), member),)),
+    ]
+    return [json.dumps(transcript_to_dict(t), ensure_ascii=False) for t in transcripts]
+
+
+def _tuples_member(line: str) -> str:
+    return line[line.rindex('"tuples": ['):line.rindex(', "rejected_lines": ')]
+
+
+def _mutated(line: str, kind: str, draw) -> bytes:
+    """``line`` with one mutation of the given kind, as bytes; hypothesis' ``draw`` picks the details."""
+    member = _tuples_member(line)
+    if kind == "truncate":
+        return line.encode()[: draw(st.integers(0, len(line.encode()) - 1))]
+    if kind == "flip_a_byte":
+        data = bytearray(line.encode())
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    if kind == "duplicate_tuples":
+        if draw(st.booleans()):
+            line = '{"tuples": ' + draw(st.sampled_from(["[]", "[{}]"])) + ", " + line[1:]
+        else:
+            line = line[:-1] + ", " + draw(st.sampled_from(['"tuples": []', member])) + "}"
+    elif kind == "nest_tuples_under_outcome":
+        if draw(st.booleans()):
+            line = line.replace(member, '"tuples": []')
+        line = line.replace('"outcome": {', '"outcome": {' + member + ', "rejected_lines": [], ')
+    elif kind == "constant_elsewhere":
+        constant = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        where = draw(st.sampled_from(["stage", "record", "id", "extra"]))
+        if where == "stage":
+            line = line.replace('"latency_s": 0.0', f'"latency_s": {constant}', 1)
+        elif where == "record":
+            head, _, tail = line.rpartition('"latency_s": 0.0')
+            line = f'{head}"latency_s": {constant}{tail}'
+        elif where == "id":
+            line = '{"id": ' + constant + line[line.index(", "):]
+        else:
+            line = '{"x": ' + constant + ", " + line[1:]
+    elif kind == "tuple_text_in_a_string":
+        # raw, it ends the string, adds the member and starts another string
+        at = draw(st.sampled_from(['"response": "', '"final_table_text": "']))
+        line = line.replace(at, at + '", ' + member + ', "rejected_lines": [], "y": "', 1)
+    return line.encode()
+
+
+_MUTATIONS = ["none", "truncate", "flip_a_byte", "duplicate_tuples", "nest_tuples_under_outcome",
+              "constant_elsewhere", "tuple_text_in_a_string"]
+
+
+def _read(read, path):
+    try:
+        return repr(read(path))
+    except DatasetError as exc:
+        return f"DatasetError: {exc}"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_transcript_reader_reads_as_load_json_does(tmp_path_factory, data):
+    t3_lines = _t3_lines()
+    path = tmp_path_factory.mktemp("mutated") / "t.jsonl"
+    path.write_text("\n".join(t3_lines) + "\n", "utf-8")
+    read_transcripts(path)  # warms the memo
+    lines = [line.encode() for line in t3_lines]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = _mutated(t3_lines[i], data.draw(st.sampled_from(_MUTATIONS)), data.draw)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    want = _read(lambda p: read_jsonl(p, transcript_from_dict), path)
+    # the second read finds in the memo what the first one's decode put there
+    assert _read(read_transcripts, path) == want
+    assert _read(read_transcripts, path) == want
+
+
+def test_second_read_of_a_t3_file_loads_no_line_whole(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    write_transcripts(run_batch(generate(GeneratorConfig(seed=3), 40), prompts.T3, OracleBackend()), path)
+    pipeline._TUPLE_BY_JSON.clear()  # so that no bound is reached between the two reads
+    first = read_transcripts(path)
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_json", lambda data: loaded.append(data) or load_json(data))
+    assert read_transcripts(path) == first
+    assert loaded == []
 
 
 def _failing_from(failing_templates: set[str]):
