@@ -21,11 +21,11 @@ class DatasetError(ValueError):
     """Raised for malformed JSONL files; message names the offending line."""
 
 
-def load_json(data: bytes) -> object:
-    """The JSON value in ``data``, decoded as UTF-8 first (json.loads of bytes
+def load_json(data: bytes | str) -> object:
+    """The JSON value in ``data``, bytes decoded as UTF-8 first (json.loads of bytes
     would also take UTF-16). Anything Python cannot load is a ValueError: bytes
     that are not UTF-8, bad JSON, a number past int()'s digit limit, deep nesting."""
-    text = data.decode("utf-8")
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
         return json.loads(text)
     except RecursionError as exc:

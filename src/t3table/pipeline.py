@@ -262,12 +262,15 @@ def replay_outcome(transcript: RunTranscript) -> ParsedTableOutcome:
 
 # --- transcript files -----------------------------------------------------------
 
-def _tuple_to_dict(tp: EventTuple) -> dict:
-    return {"player": tp.player, "team": tp.team.display, "event": tp.label.text, "known": isinstance(tp.label, RawEventLabel)}
+def _tuple_to_dict(team: TeamSide, label: RawEventLabel | Unknown, player: str | None) -> dict:
+    return {"player": player, "team": team.display, "event": label.text, "known": isinstance(label, RawEventLabel)}
+
+
+_FIELDS = attrgetter("team", "label", "player")
 
 
 def transcript_to_dict(t: RunTranscript) -> dict:
-    return _record(t, [_tuple_to_dict(tp) for tp in t.tuples])
+    return _record(t, [_tuple_to_dict(*_FIELDS(tp)) for tp in t.tuples])
 
 
 def _record(t: RunTranscript, tuples: list) -> dict:
@@ -300,15 +303,14 @@ def _record(t: RunTranscript, tuples: list) -> dict:
     }
 
 
-# Each distinct tuple is encoded once, keyed by its fields: they hash in C, an EventTuple in Python
+# Each distinct tuple is encoded once, keyed by its fields, which hash in C but for an Unknown label
 @lru_cache(maxsize=4096)
 def _tuple_json(fields: tuple[TeamSide, RawEventLabel | Unknown, str | None]) -> str:
-    return to_json(_tuple_to_dict(EventTuple(*fields)))
+    return to_json(_tuple_to_dict(*fields))
 
 
-_FIELDS = attrgetter("team", "label", "player")
-# The inverse of _tuple_json, without the braces. Its keys are made from the tuples that a full
-# decode gave, never taken from file text: a piece of a line that is a key is that tuple's text.
+# The inverse of _tuple_json, without the braces, for the tuples a full decode gave: never keyed by
+# file text, a piece of a line that is a key is that tuple's text. Full at 4,096, it takes no more.
 _TUPLE_BY_JSON: dict[str, EventTuple] = {}
 
 
@@ -351,9 +353,7 @@ def _tuples_from_dicts(records: list | tuple) -> tuple[EventTuple, ...]:
         if known is not True and known is not False:
             raise TypeError(f"known must be a bool, got {type(known).__name__}")
         out.append(_decode_tuple(d["team"], d["event"], known, d.get("player")))
-    if len(_TUPLE_BY_JSON) + len(out) > 4096:  # bounded as _decode_tuple's memo is
-        _TUPLE_BY_JSON.clear()
-    _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[:4096])
+    _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[: 4096 - len(_TUPLE_BY_JSON)])
     return tuple(out)
 
 
@@ -365,20 +365,20 @@ def _load_transcript(data: bytes) -> object:
     value json.loads keeps; and pieces that are keys make an array of valid JSON for the memo's values.
     """
     text = data.decode("utf-8")
-    at = text.rfind('"tuples": [')  # the writer's key; '"tuples": []' when there are none
-    end = text.find('}], "rejected_lines": ', at)
-    if at >= 0 and end >= 0 and text.startswith("{", at + 11):
-        head, body, tail = text[: at + 10], text[at + 12 : end], text[end + 2 :]
+    at = text.rfind('"tuples": [{')  # the writer's key, when there are tuples
+    end = text.find('}], "rejected_lines": ', at) if at >= 0 else -1
+    cut = text.find("}, {", at, end) if end >= 0 else -1  # the first piece's end, when there are more
+    if end >= 0 and text[at + 12 : cut if cut >= 0 else end] in _TUPLE_BY_JSON:  # a miss gives up before the split
         seen: list[str] = []  # the constants the line holds; the hook returns the list itself as a marker
         try:
-            tuples = tuple([_TUPLE_BY_JSON[piece] for piece in body.split("}, {")])
-            record = json.loads(head + "NaN" + tail, parse_constant=lambda c: seen.append(c) or seen)
+            tuples = tuple([_TUPLE_BY_JSON[piece] for piece in text[at + 12 : end].split("}, {")])
+            record = json.loads(text[: at + 10] + "NaN" + text[end + 2 :], parse_constant=lambda c: seen.append(c) or seen)
         except (KeyError, ValueError, RecursionError):
-            return load_json(data)
+            record = None
         if seen == ["NaN"] and isinstance(record, dict) and record.get("tuples") is seen:
             record["tuples"] = tuples
             return record
-    return load_json(data)
+    return load_json(text)
 
 
 def _stage_number(s: dict) -> int:

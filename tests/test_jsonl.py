@@ -12,7 +12,7 @@ from t3table.autoqa import load_documents, load_tables
 from t3table.backends import OracleBackend
 from t3table.jsonl import DatasetError
 from t3table.model import EventTuple, RawEventLabel, TeamSide
-from t3table.pipeline import _TUPLE_BY_JSON, RunTranscript, _decode_tuple, read_transcripts, run_batch, write_transcripts
+from t3table.pipeline import RunTranscript, _decode_tuple, read_transcripts, run_batch, write_transcripts
 from t3table.synth import GeneratorConfig, generate, read_dataset
 
 
@@ -64,7 +64,6 @@ def test_tuple_decode_cache_stays_bounded(tmp_path):
     assert transcript.tuples == tuples
     info = _decode_tuple.cache_info()
     assert info.currsize <= info.maxsize == 4096
-    assert len(_TUPLE_BY_JSON) <= 4096
 
 
 def test_read_dataset_rejects_meta_that_is_not_an_object(tmp_path):

@@ -404,6 +404,7 @@ def test_transcript_reader_reads_as_load_json_does(tmp_path_factory, data):
     t3_lines = _t3_lines()
     path = tmp_path_factory.mktemp("mutated") / "t.jsonl"
     path.write_text("\n".join(t3_lines) + "\n", "utf-8")
+    pipeline._TUPLE_BY_JSON.clear()  # so that it has room for what the next read puts there
     read_transcripts(path)  # warms the memo
     lines = [line.encode() for line in t3_lines]
     i = data.draw(st.integers(0, len(lines) - 1))
@@ -418,12 +419,31 @@ def test_transcript_reader_reads_as_load_json_does(tmp_path_factory, data):
 def test_second_read_of_a_t3_file_loads_no_line_whole(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     write_transcripts(run_batch(generate(GeneratorConfig(seed=3), 40), prompts.T3, OracleBackend()), path)
-    pipeline._TUPLE_BY_JSON.clear()  # so that no bound is reached between the two reads
+    pipeline._TUPLE_BY_JSON.clear()  # so that it has room for what the first read puts there
     first = read_transcripts(path)
     loaded = []
     monkeypatch.setattr(pipeline, "load_json", lambda data: loaded.append(data) or load_json(data))
     assert read_transcripts(path) == first
     assert loaded == []
+
+
+def test_tuple_text_memo_takes_no_more_once_full(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_TUPLE_BY_JSON", {})
+    files = {}
+    for team in (TeamSide.AWAY, TeamSide.HOME):
+        tuples = tuple(EventTuple(team, RawEventLabel.FOUL, f"Player{i}") for i in range(1, 5_001))
+        files[team] = (tmp_path / f"{team.name}.jsonl", tuples)
+        write_transcripts([RunTranscript(instance_id="a", mode="t2", stages=(), tuples=tuples)], files[team][0])
+    path, tuples = files[TeamSide.AWAY]
+    assert read_transcripts(path)[0].tuples == tuples
+    full = dict(pipeline._TUPLE_BY_JSON)
+    assert len(full) == 4096
+    misses = pipeline._tuple_json.cache_info().misses
+    path, tuples = files[TeamSide.HOME]
+    assert read_transcripts(path)[0].tuples == tuples
+    # a full memo costs a read of new tuples no encoding: none of them is made a key
+    assert pipeline._tuple_json.cache_info().misses == misses
+    assert pipeline._TUPLE_BY_JSON == full
 
 
 def _failing_from(failing_templates: set[str]):
