@@ -45,21 +45,14 @@ def main() -> None:
     """Text-to-table pipeline toolkit: synthesize, run, and score match tables."""
 
 
-def _parse_mean_overrides(pairs: tuple[str, ...]) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise click.UsageError(f"--mean expects name=value, got {pair!r}")
-        name, _, value = pair.partition("=")
-        key = name.strip().lower().replace(" ", "_").replace("-", "_")
-        if key.upper() not in EventType.__members__:
-            valid = ", ".join(e.name.lower() for e in EVENT_ORDER)
-            raise click.UsageError(f"unknown event {name!r}; valid: {valid}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise click.UsageError(f"--mean value for {name!r} must be a number")
-    return overrides
+def _mean_override(pair: str) -> tuple[str, float]:
+    name, eq, value = pair.partition("=")
+    if not eq:
+        raise ValueError(f"--mean expects name=value, got {pair!r}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise ValueError(f"--mean value for {name!r} must be a number") from None
 
 
 @main.command()
@@ -69,7 +62,10 @@ def _parse_mean_overrides(pairs: tuple[str, ...]) -> dict[str, float]:
 @click.option("--mean", "means", multiple=True, help="Override a per-team event rate, e.g. goals=2.0")
 def gen(out: str, n: int, seed: int, means: tuple[str, ...]) -> None:
     """Generate a synthetic dataset and print empirical event rates."""
-    cfg = GeneratorConfig(seed=seed).with_means(**_parse_mean_overrides(means))
+    try:
+        cfg = GeneratorConfig(seed=seed).with_means(**dict(map(_mean_override, means)))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     pairs = generate_with_scripts(cfg, n)
     try:
         write_dataset((inst for inst, _ in pairs), out)

@@ -96,6 +96,19 @@ def team_named(text: str) -> TeamSide | None:
     return None
 
 
+_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
+
+# Event names compare lowercase alphanumeric, singular accepted: "Yellow Cards", "yellow_card".
+_EVENT_BY_NAME: dict[str, EventType] = {
+    _NOT_ALNUM.sub("", name.lower()): e for e in EVENT_ORDER for name in (e.column_header, e.column_header.rstrip("s"))
+}
+
+
+def event_named(text: str) -> EventType | None:
+    """The event a header cell, count-tuple field or ``--mean`` name names, if any."""
+    return _EVENT_BY_NAME.get(_NOT_ALNUM.sub("", text.lower()))
+
+
 class RawEventLabel(Enum):
     """Surface event labels as they appear in extracted tuples."""
 
@@ -128,9 +141,6 @@ class Unknown:
     text: str
 
 
-_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
-
-
 def _fold(text: str) -> str:
     # lowercase, strip punctuation, collapse whitespace
     return _NOT_ALNUM.sub(" ", text.lower()).strip()
@@ -161,7 +171,7 @@ def normalize_label(text: str) -> RawEventLabel | Unknown:
 # Player<n> with n >= 1; every pattern that finds player tags builds on it.
 PLAYER_TAG_PATTERN = r"Player[1-9]\d*"
 _PLAYER_TAG = re.compile(PLAYER_TAG_PATTERN + r"\Z")
-# A tag decorated with its side, as anonymized text writes it:
+# A tag decorated with its side, as tagged commentary writes it:
 # Player5(Home Team). The groups are (tag, side).
 DECORATED_TAG = re.compile(rf"({PLAYER_TAG_PATTERN})\((Home|Away) Team\)")
 
@@ -184,9 +194,12 @@ class EventTuple:
             raise ValueError(f"player must look like Player<n>, got {self.player!r}")
 
 
+MAX_COUNT = 2**53  # the largest count a cell holds: scores take counts as floats, which hold every int up to it
+
+
 @dataclass(frozen=True, slots=True)
 class SummaryTable:
-    """2 (teams) x 8 (event types) non-negative integer counts, flat in CELLS order."""
+    """2 (teams) x 8 (event types) integer counts from 0 to MAX_COUNT, flat in CELLS order."""
 
     counts: tuple[int, ...]
 
@@ -194,8 +207,8 @@ class SummaryTable:
         if len(self.counts) != len(CELLS):
             raise ValueError(f"summary table must have {len(CELLS)} cells")
         for cell in self.counts:
-            if not isinstance(cell, int) or isinstance(cell, bool) or cell < 0:
-                raise ValueError(f"cells must be integers >= 0, got {cell!r}")
+            if not isinstance(cell, int) or isinstance(cell, bool) or not 0 <= cell <= MAX_COUNT:
+                raise ValueError(f"cells must be integers from 0 to {MAX_COUNT}, got {cell!r:.40}")
 
     @classmethod
     def zero(cls) -> "SummaryTable":

@@ -303,14 +303,19 @@ def _record(t: RunTranscript, tuples: list) -> dict:
     }
 
 
+# A run repeats few tuples (tags x teams x labels); this caps what a hostile file makes each memo below hold
+_TUPLES_KEPT = 4096
+
+
 # Each distinct tuple is encoded once, keyed by its fields, which hash in C but for an Unknown label
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TUPLES_KEPT)
 def _tuple_json(fields: tuple[TeamSide, RawEventLabel | Unknown, str | None]) -> str:
     return to_json(_tuple_to_dict(*fields))
 
 
 # The inverse of _tuple_json, without the braces, for the tuples a full decode gave: never keyed by
-# file text, a piece of a line that is a key is that tuple's text. Full at 4,096, it takes no more.
+# file text, a piece of a line that is a key is that tuple's text. Full, it takes no more until the
+# next read_transcripts call, which begins by emptying it.
 _TUPLE_BY_JSON: dict[str, EventTuple] = {}
 
 
@@ -330,10 +335,8 @@ _TEAM_BY_DISPLAY: dict[str, TeamSide] = {team.display: team for team in TeamSide
 _LABEL_BY_TEXT: dict[str, RawEventLabel] = {label.text: label for label in RawEventLabel}
 
 
-# A run's tuples repeat a small vocabulary (player tags x teams x labels);
-# the bound caps what a hostile file can make the cache hold. Exceptions are
-# not cached: an unknown team or label stays a KeyError, a bad tag a ValueError.
-@lru_cache(maxsize=4096)
+# Exceptions are not cached: an unknown team or label stays a KeyError, a bad tag a ValueError.
+@lru_cache(maxsize=_TUPLES_KEPT)
 def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> EventTuple:
     # an unknown label keeps its text, which must be a string: as cache keys
     # 1 and True are equal, so a number would read back as the other
@@ -353,7 +356,7 @@ def _tuples_from_dicts(records: list | tuple) -> tuple[EventTuple, ...]:
         if known is not True and known is not False:
             raise TypeError(f"known must be a bool, got {type(known).__name__}")
         out.append(_decode_tuple(d["team"], d["event"], known, d.get("player")))
-    _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[: 4096 - len(_TUPLE_BY_JSON)])
+    _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[: _TUPLES_KEPT - len(_TUPLE_BY_JSON)])
     return tuple(out)
 
 
@@ -428,4 +431,6 @@ def write_transcripts(transcripts: Iterable[RunTranscript], path: str | Path) ->
 
 
 def read_transcripts(path: str | Path) -> list[RunTranscript]:
+    if len(_TUPLE_BY_JSON) >= _TUPLES_KEPT:  # full of an earlier file's tuples: make room for this one's
+        _TUPLE_BY_JSON.clear()
     return read_jsonl(path, transcript_from_dict, _load_transcript)

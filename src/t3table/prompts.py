@@ -15,8 +15,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .model import EVENT_ORDER, TEAM_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, team_named
-from .tableio import count_of, event_named, to_csv
+from .model import EVENT_ORDER, TEAM_ORDER, EventTuple, EventType, MatchInstance, SummaryTable, TeamSide, event_named, team_named
+from .tableio import count_of, to_csv
 from .tuples import PAREN_GROUP
 
 Message = tuple[str, str]

@@ -30,6 +30,7 @@ from .model import (
     MatchInstance,
     RawEventLabel,
     TeamSide,
+    event_named,
 )
 from .tuples import integrate
 
@@ -71,7 +72,10 @@ class GeneratorConfig:
     def with_means(self, **overrides: float) -> "GeneratorConfig":
         means = dict(self.means)
         for name, value in overrides.items():
-            means[EventType[name.upper()]] = value
+            event = event_named(name)
+            if event is None:
+                raise ValueError(f"unknown event {name!r}; valid: {', '.join(e.name.lower() for e in EVENT_ORDER)}")
+            means[event] = value
         return replace(self, means=means)
 
 
@@ -553,57 +557,6 @@ def _read_sentence(bank: TemplateBank, sentence: str) -> tuple[EventTuple, ...]:
         if m:
             return tuple(_entry_tuples(entry, m))
     return tuple(_best_effort(sentence))
-
-
-# --- anonymization -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnonymizedText:
-    text: str
-    unmatched: tuple[str, ...]
-
-
-_CAP_RUN = re.compile(r"\b[A-Z][a-z]+(?:\s+[A-Z][a-z]+)*\b")
-_SENTENCE_START = re.compile(r"(?:\A|[.!?]\s+)\Z")
-_CAP_STOPWORDS = frozenset({
-    "Home", "Away", "Team", "The", "A", "An", "And", "Final", "Goal", "Foul",
-    "Offside", "Yellow", "Red", "Card", "Players", "Handball", "Dangerous",
-})
-
-
-def anonymize(
-    text: str,
-    roster: Mapping[str, tuple[TeamSide, int]],
-    team_names: Mapping[str, TeamSide] | None = None,
-) -> AnonymizedText:
-    """Replace roster names with Player<n>(<side> Team) tags, longest match first.
-
-    Team names map to "Home Team"/"Away Team". Idempotent; capitalized names
-    that matched nothing are left intact and reported.
-    """
-    replacements: dict[str, str] = {}
-    for name, (side, number) in roster.items():
-        if number < 1:
-            raise ValueError(f"player number for {name!r} must be positive")
-        replacements[name] = f"Player{number}({side.display})"
-    for name, side in (team_names or {}).items():
-        replacements[name] = side.display
-    result = text
-    if replacements:
-        ordered = sorted(replacements, key=len, reverse=True)
-        pattern = re.compile(r"\b(?:" + "|".join(re.escape(n) for n in ordered) + r")\b")
-        result = pattern.sub(lambda m: replacements[m.group(0)], text)
-
-    unmatched: list[str] = []
-    for m in _CAP_RUN.finditer(result):
-        words = m.group(0).split()
-        if all(w in _CAP_STOPWORDS for w in words):
-            continue
-        at_sentence_start = bool(_SENTENCE_START.search(result[: m.start()]))
-        if len(words) == 1 and at_sentence_start:
-            continue
-        unmatched.append(m.group(0))
-    return AnonymizedText(text=result, unmatched=tuple(dict.fromkeys(unmatched)))
 
 
 # --- dataset files ---------------------------------------------------------------

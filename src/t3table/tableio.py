@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import EVENT_ORDER, TEAM_ORDER, EventType, SummaryTable, TeamSide, team_named
+from .model import EVENT_ORDER, MAX_COUNT, TEAM_ORDER, EventType, SummaryTable, TeamSide, event_named, team_named
 
 CSV_HEADER = "Team," + ",".join(e.column_header for e in EVENT_ORDER)
 
@@ -49,25 +49,6 @@ class ParsedTableOutcome:
         return cls(table=None, reason_code=code, detail=detail)
 
 
-_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
-
-
-def _norm(cell: str) -> str:
-    return _NOT_ALNUM.sub("", cell.lower())
-
-
-# Fuzzy event-name lookup: lowercase alphanumeric comparison, singular accepted.
-_HEADER_ALIASES: dict[str, EventType] = {}
-for _e in EVENT_ORDER:
-    _HEADER_ALIASES[_norm(_e.column_header)] = _e
-    _HEADER_ALIASES[_norm(_e.column_header).rstrip("s")] = _e
-
-
-def event_named(text: str) -> EventType | None:
-    """The event a header cell or count-tuple field names, if any."""
-    return _HEADER_ALIASES.get(_norm(text))
-
-
 # Filler cells make the whole table malformed: every cell is a required count.
 _FILLERS = {"", "-", "--", "n/a", "na", "none", "nil", "unknown", "not mentioned", "notmentioned"}
 
@@ -75,11 +56,12 @@ _SEPARATOR_CELL = re.compile(r"\A:?-{2,}:?\Z")
 
 
 def count_of(cell: str) -> int | None:
-    """``cell`` as a count: None unless it is decimal digits (any script) that int() takes."""
+    """``cell`` as a count: None unless it is decimal digits (any script) whose value is at most MAX_COUNT."""
     try:
-        return int(cell) if cell.isdecimal() else None
+        count = int(cell) if cell.isdecimal() else -1
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return None
+    return count if 0 <= count <= MAX_COUNT else None
 
 
 def _split_row(line: str) -> list[str]:
@@ -134,7 +116,7 @@ def parse_model_table(text: str) -> ParsedTableOutcome:
     if emitted is not None:
         try:
             return ParsedTableOutcome.ok(SummaryTable(tuple(map(int, emitted.groups()))))
-        except ValueError:  # a count past int()'s digit limit: the tolerant parser reports it
+        except ValueError:  # a count past MAX_COUNT or int()'s digit limit: the tolerant parser reports it
             pass
     return _parse_tolerant(text)
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     CELL_POS,
@@ -107,9 +106,9 @@ def parse_tuples(text: str) -> TupleParseReport:
     The groups of the whole text are read in one pass; only a text with a
     rejected group is read again line by line, to name each rejected line.
     """
-    # anonymized tags sometimes leak into tuples as Player5(Home Team); their
-    # parens break the tuple grammar, so strip the decoration first. A tag
-    # never spans lines, so this equals stripping it line by line.
+    # the commentary's tags sometimes leak into tuples as Player5(Home Team);
+    # their parens break the tuple grammar, so strip the decoration first. A
+    # tag never spans lines, so this equals stripping it line by line.
     stripped = DECORATED_TAG.sub(r"\1", text) if " Team)" in text else text  # every decorated tag ends so
     tuples: list[EventTuple] = []
     unknown = 0
@@ -154,14 +153,3 @@ def integrate(tuples: Iterable[EventTuple]) -> SummaryTable:
             cells[k] += 1
     return SummaryTable(tuple(cells))
 
-
-def aggregate_majority(tables: Sequence[SummaryTable]) -> SummaryTable:
-    """Cell-wise majority vote; ties broken by the smallest tied value."""
-    if not tables:
-        raise ValueError("no annotations")
-    cells = []
-    for values in zip(*(t.counts for t in tables)):
-        votes = Counter(values)
-        top = max(votes.values())
-        cells.append(min(v for v, n in votes.items() if n == top))
-    return SummaryTable(tuple(cells))

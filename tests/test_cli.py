@@ -51,6 +51,26 @@ def test_gen_unknown_mean_is_usage_error(tmp_path, runner):
     assert result.exit_code == 2
 
 
+# a name reads as a table header does (model.event_named), in the singular too
+@pytest.mark.parametrize("pair", ["Yellow Cards=0", "yellow card=0"], ids=["column_header", "singular"])
+def test_gen_mean_takes_an_event_by_its_column_header(tmp_path, runner, pair):
+    result = invoke(runner, ["gen", "--out", str(tmp_path / "x.jsonl"), "--n", "3", "--mean", pair])
+    assert result.exit_code == 0
+    assert "Yellow Cards   0.000 vs 0.000" in result.output
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("goals", "--mean expects name=value, got 'goals'"),
+    ("goals=many", "--mean value for 'goals' must be a number"),
+], ids=["no_equals", "not_a_number"])
+def test_gen_bad_mean_names_the_problem(tmp_path, runner, pair, message):
+    out = tmp_path / "x.jsonl"
+    result = runner.invoke(main, ["gen", "--out", str(out), "--n", "1", "--mean", pair])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_run_oracle_then_eval_closed_loop(tmp_path, runner):
     data = tmp_path / "data.jsonl"
     transcripts = tmp_path / "t.jsonl"
@@ -291,6 +311,38 @@ def test_non_finite_number_in_a_transcript_is_data_error(tmp_path, runner, splic
     result = runner.invoke(main, ["eval", "--transcripts", str(transcripts), "--dataset", str(data)])
     assert result.exit_code == 3
     assert f"line 2 of {transcripts}" in result.output and "latency_s must be a number" in result.output
+
+
+def test_a_count_no_float_holds_is_a_bad_cell_that_eval_scores(tmp_path, runner):
+    from t3table import prompts
+    from t3table.backends import StubBackend
+    from t3table.model import SummaryTable
+    from t3table.pipeline import run_batch, write_transcripts
+    from t3table.tableio import to_csv
+
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    huge = to_csv(SummaryTable.zero()).replace("Home Team,0", f"Home Team,{10**400}")
+    transcripts = run_batch(read_dataset(data), prompts.ZERO_SHOT, StubBackend(lambda request: huge))
+    assert [t.outcome.reason_code for t in transcripts] == ["bad_cell", "bad_cell"]
+    path = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, path)
+    result = invoke(runner, ["eval", "--transcripts", str(path), "--dataset", str(data)])
+    assert result.exit_code == 0
+    assert "filtered: 2" in result.output
+
+
+def test_a_count_no_float_holds_in_a_dataset_is_data_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    transcripts = tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                    "--out", str(transcripts), "--quiet"])
+    _corrupt_line(data, 2, lambda r: r["table"][0].__setitem__(0, 10**400))
+    for args in (["eval"], ["inspect", "--id", "synth-1-00000"]):
+        result = runner.invoke(main, [*args, "--transcripts", str(transcripts), "--dataset", str(data)])
+        assert result.exit_code == 3
+        assert f"line 2 of {data}" in result.output and "cells must be integers from 0 to" in result.output
 
 
 def test_eval_reports_filtered_count(tmp_path, runner):

@@ -37,6 +37,17 @@ def test_reading_a_dataset_does_not_load_numpy(tmp_path):
     assert loaded == {"n": 1, "numpy": False}
 
 
+def test_synth_loads_no_module_of_the_run_or_eval_path():
+    # `t3table gen` and the benchmark's set-up load synth; what it imports is their start-up cost
+    loaded = _run(
+        "import json\n"
+        "from t3table import synth\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('t3table.'))))"
+    )
+    for name in ("tableio", "prompts", "backends", "pipeline", "evaluation", "autoqa", "cli"):
+        assert f"t3table.{name}" not in loaded
+
+
 def test_gen_still_writes_a_dataset(tmp_path):
     path = tmp_path / "data.jsonl"
     loaded = _run(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from t3table.model import (
     EVENT_ORDER,
+    MAX_COUNT,
     DifficultyGroup,
     EventTuple,
     EventType,
@@ -18,6 +19,7 @@ from t3table.model import (
     TeamSide,
     Unknown,
     difficulty_of,
+    event_named,
     normalize_label,
     team_named,
 )
@@ -156,6 +158,25 @@ def test_summary_table_validation():
         SummaryTable.from_rows([0, 0, 0, 0, 0, 0, 0, -1], [0] * 8)
     with pytest.raises(ValueError):
         SummaryTable.from_rows([True, 0, 0, 0, 0, 0, 0, 0], [0] * 8)
+
+
+def test_summary_table_holds_counts_up_to_max_count():
+    # scores take counts as floats, which hold every integer up to MAX_COUNT
+    assert float(MAX_COUNT) == MAX_COUNT and float(MAX_COUNT + 1) != MAX_COUNT + 1
+    assert SummaryTable.from_rows([MAX_COUNT] + [0] * 7, [0] * 8).counts[0] == MAX_COUNT
+    for count in (MAX_COUNT + 1, 10**400):
+        with pytest.raises(ValueError, match="cells must be integers from 0 to"):
+            SummaryTable.from_rows([count] + [0] * 7, [0] * 8)
+
+
+@pytest.mark.parametrize("text, event", [
+    ("Goals", EventType.GOALS), ("goal", EventType.GOALS), ("Yellow Cards", EventType.YELLOW_CARDS),
+    ("yellow_cards", EventType.YELLOW_CARDS), (" YELLOW-CARD ", EventType.YELLOW_CARDS),
+    ("**Free Kicks**", EventType.FREE_KICKS), ("offside", EventType.OFFSIDES),
+    ("throwins", None), ("", None), ("Team", None),
+])
+def test_event_named(text, event):
+    assert event_named(text) is event
 
 
 def test_summary_table_indexing_total():

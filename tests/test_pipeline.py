@@ -434,16 +434,29 @@ def test_tuple_text_memo_takes_no_more_once_full(tmp_path, monkeypatch):
         tuples = tuple(EventTuple(team, RawEventLabel.FOUL, f"Player{i}") for i in range(1, 5_001))
         files[team] = (tmp_path / f"{team.name}.jsonl", tuples)
         write_transcripts([RunTranscript(instance_id="a", mode="t2", stages=(), tuples=tuples)], files[team][0])
-    path, tuples = files[TeamSide.AWAY]
-    assert read_transcripts(path)[0].tuples == tuples
-    full = dict(pipeline._TUPLE_BY_JSON)
-    assert len(full) == 4096
-    misses = pipeline._tuple_json.cache_info().misses
-    path, tuples = files[TeamSide.HOME]
-    assert read_transcripts(path)[0].tuples == tuples
-    # a full memo costs a read of new tuples no encoding: none of them is made a key
-    assert pipeline._tuple_json.cache_info().misses == misses
-    assert pipeline._TUPLE_BY_JSON == full
+    for team in (TeamSide.AWAY, TeamSide.HOME):
+        path, tuples = files[team]
+        misses = pipeline._tuple_json.cache_info().misses
+        assert read_transcripts(path)[0].tuples == tuples
+        # within a call the memo takes the first 4,096 tuples and encodes no more; the next call
+        # finds it full, so it starts empty and holds only that call's tuples
+        assert list(pipeline._TUPLE_BY_JSON.values()) == list(tuples[:4096])
+        assert pipeline._tuple_json.cache_info().misses == misses + 4096
+
+
+def test_a_full_memo_makes_room_for_the_next_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_TUPLE_BY_JSON", {})
+    distinct = tmp_path / "distinct.jsonl"
+    tuples = tuple(EventTuple(TeamSide.HOME, Unknown(f"event {i}")) for i in range(5_000))
+    write_transcripts([RunTranscript(instance_id="a", mode="t2", stages=(), tuples=tuples)], distinct)
+    path = tmp_path / "t.jsonl"
+    write_transcripts(run_batch(generate(GeneratorConfig(seed=3), 40), prompts.T3, OracleBackend()), path)
+    read_transcripts(distinct)  # fills the memo
+    first = read_transcripts(path)
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_json", lambda data: loaded.append(data) or load_json(data))
+    assert read_transcripts(path) == first
+    assert loaded == []
 
 
 def _failing_from(failing_templates: set[str]):

@@ -130,7 +130,8 @@ def test_count_tuple_round_trip():
     assert parse_count_tuples(rendered) == table
 
 
-@pytest.mark.parametrize("count", ["\u00b2", "9" * 5000, "2.5", "-1", ""], ids=["superscript", "past_digit_limit", "float", "negative", "empty"])
+@pytest.mark.parametrize("count", ["\u00b2", "9" * 5000, str(2**53 + 1), "2.5", "-1", ""],
+                         ids=["superscript", "past_digit_limit", "past_max_count", "float", "negative", "empty"])
 def test_parse_count_tuples_skips_a_group_whose_count_is_not_one(count):
     table = SummaryTable.from_rows([0, 5, 6, 1, 0, 5, 6, 6], [3, 12, 6, 0, 0, 3, 6, 2])
     lines = render_count_tuples(table).split("\n")

@@ -17,7 +17,6 @@ from t3table.model import EventTuple, EventType, RawEventLabel, SummaryTable, Te
 from t3table.synth import (
     DatasetError,
     GeneratorConfig,
-    anonymize,
     default_bank,
     generate,
     generate_one,
@@ -281,6 +280,13 @@ def test_all_zero_means_yields_boilerplate_only():
     assert oracle_extract(inst.commentary) == []
 
 
+def test_with_means_resolves_names_as_event_named_does():
+    cfg = GeneratorConfig().with_means(**{"Yellow Cards": 0.5, "red_card": 2.0, "GOALS": 3.0})
+    assert (cfg.means[EventType.YELLOW_CARDS], cfg.means[EventType.RED_CARDS], cfg.means[EventType.GOALS]) == (0.5, 2.0, 3.0)
+    with pytest.raises(ValueError, match="unknown event 'throwins'; valid: goals, shots, .*, offsides"):
+        GeneratorConfig().with_means(throwins=1.0)
+
+
 def test_generation_deterministic_bytes():
     cfg = GeneratorConfig(seed=42)
     a = generate(cfg, 8)
@@ -377,56 +383,6 @@ def test_combo_sentences_carry_two_tuples():
     assert Counter((t.team, t.label) for t in extracted) == Counter(
         [(HOME, RawEventLabel.FOUL), (AWAY, RawEventLabel.FREE_KICK)]
     )
-
-
-# --- anonymize ----------------------------------------------------------------------
-
-def test_anonymize_single_substitution():
-    result = anonymize("Smith shoots!", {"Smith": (HOME, 7)})
-    assert result.text == "Player7(Home Team) shoots!"
-    assert result.unmatched == ()
-
-
-def test_anonymize_idempotent():
-    roster = {"Smith": (HOME, 7), "Jones": (AWAY, 21)}
-    once = anonymize("Smith passes to Jones.", roster)
-    twice = anonymize(once.text, roster)
-    assert once.text == twice.text
-
-
-def test_anonymize_longest_match_wins():
-    roster = {"Smith": (HOME, 7), "John Smith": (HOME, 9)}
-    result = anonymize("John Smith scores.", roster)
-    assert result.text == "Player9(Home Team) scores."
-    # every ordering of overlapping names behaves the same
-    for names in itertools.permutations(roster):
-        ordered = {n: roster[n] for n in names}
-        assert anonymize("John Smith scores.", ordered).text == "Player9(Home Team) scores."
-    assert anonymize("Smith scores.", roster).text == "Player7(Home Team) scores."
-
-
-def test_anonymize_team_names():
-    result = anonymize(
-        "Rovers press while United defend deep.",
-        {},
-        team_names={"Rovers": HOME, "United": AWAY},
-    )
-    assert result.text == "Home Team press while Away Team defend deep."
-
-
-def test_anonymize_reports_unmatched_names():
-    result = anonymize("Smith passes to Garcia quickly.", {"Smith": (HOME, 7)})
-    assert "Garcia" in result.unmatched
-
-
-def test_anonymize_whole_word_only():
-    result = anonymize("Smithson keeps the ball.", {"Smith": (HOME, 7)})
-    assert "Player7" not in result.text
-
-
-def test_anonymize_rejects_bad_number():
-    with pytest.raises(ValueError):
-        anonymize("x", {"Smith": (HOME, 0)})
 
 
 # --- dataset files ---------------------------------------------------------------------

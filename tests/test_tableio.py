@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from t3table.model import EVENT_ORDER, SummaryTable, TeamSide
+from t3table.model import EVENT_ORDER, MAX_COUNT, SummaryTable, TeamSide
 from t3table.tableio import _EMITTED_CSV, CSV_HEADER, _parse_tolerant, count_of, parse_model_table, to_csv
 
 from conftest import EXAMPLE_TRUTH
@@ -165,9 +165,12 @@ def test_parse_negative_or_float_cells_malformed():
         assert not outcome.is_ok
 
 
+# int() takes 4,300 digits but no float holds such a count: past MAX_COUNT a cell is not one
 @pytest.mark.parametrize("cell, count", [
     ("7", 7), ("007", 7), ("\u0663", 3), ("\uff19\uff10", 90),
-    pytest.param("9" * 4300, int("9" * 4300), id="at_digit_limit"),
+    pytest.param(str(MAX_COUNT), MAX_COUNT, id="at_max_count"),
+    pytest.param(str(MAX_COUNT + 1), None, id="past_max_count"),
+    pytest.param("9" * 4300, None, id="at_digit_limit"),
     ("", None), ("-1", None), ("2.5", None), (" 1", None), ("\u00b2", None), ("\u2460", None),
     pytest.param("9" * 5000, None, id="past_digit_limit"),
 ])
@@ -180,8 +183,10 @@ def _markdown(csv_text: str) -> str:
     return "\n".join(rows[:1] + ["|" + "---|" * 9] + rows[1:])
 
 
-# "\u00b2" (superscript two) passes str.isdigit but not int(); 5,000 digits are past int()'s limit
-@pytest.mark.parametrize("cell", ["9" * 5000, "\u0669" * 5000, "\u00b2"], ids=["ascii_digits", "arabic_indic_digits", "superscript"])
+# "\u00b2" (superscript two) passes str.isdigit but not int(); 5,000 digits are past int()'s limit;
+# 10**400 is a count that no float holds
+@pytest.mark.parametrize("cell", ["9" * 5000, "\u0669" * 5000, "\u00b2", str(10**400), str(MAX_COUNT + 1)],
+                         ids=["ascii_digits", "arabic_indic_digits", "superscript", "float_overflow", "past_max_count"])
 @pytest.mark.parametrize("shape", [str, _markdown], ids=["csv", "markdown"])
 def test_junk_digits_are_a_bad_cell_on_both_paths(cell, shape):
     text = shape(to_csv(EXAMPLE_TRUTH).replace("Home Team,0", f"Home Team,{cell}"))

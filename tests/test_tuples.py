@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import re
 
 import pytest
@@ -17,7 +16,7 @@ from t3table.model import (
     normalize_label,
     team_named,
 )
-from t3table.tuples import TupleParseReport, _read_group, aggregate_majority, integrate, parse_tuples
+from t3table.tuples import TupleParseReport, _read_group, integrate, parse_tuples
 
 HOME, AWAY = TeamSide.HOME, TeamSide.AWAY
 
@@ -342,35 +341,3 @@ def test_integrate_conservation(tuples):
     )
     assert sum(integrate(tuples).counts) == len(known) + doubles
 
-
-# --- aggregate_majority ----------------------------------------------------------
-
-def _cell_table(value: int) -> SummaryTable:
-    return SummaryTable.from_rows([value] + [0] * 7, [0] * 8)
-
-
-def test_majority_strict():
-    voted = aggregate_majority([_cell_table(3), _cell_table(3), _cell_table(4)])
-    assert voted.row(HOME)[0] == 3
-
-
-def test_majority_single_annotator_identity():
-    table = SummaryTable.from_rows([1, 2, 3, 4, 5, 6, 7, 8], [8, 7, 6, 5, 4, 3, 2, 1])
-    assert aggregate_majority([table]) == table
-
-
-def test_majority_tie_breaks_to_smallest():
-    voted = aggregate_majority([_cell_table(2), _cell_table(3)])
-    assert voted.row(HOME)[0] == 2
-
-
-def test_majority_all_two_annotator_ties():
-    # exhaustive over small value pairs: a tie must always pick the smaller
-    for a, b in itertools.product(range(4), repeat=2):
-        voted = aggregate_majority([_cell_table(a), _cell_table(b)])
-        assert voted.row(HOME)[0] == min(a, b)
-
-
-def test_majority_empty_errors():
-    with pytest.raises(ValueError, match="no annotations"):
-        aggregate_majority([])
