@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
 from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
@@ -32,10 +32,8 @@ from .model import (
     TeamSide,
     event_named,
 )
+from .rng import Rng
 from .tuples import integrate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MEANS: Mapping[EventType, float] = {
     EventType.GOALS: 1.38,
@@ -47,6 +45,7 @@ DEFAULT_MEANS: Mapping[EventType, float] = {
     EventType.FREE_KICKS: 10.34,
     EventType.OFFSIDES: 1.86,
 }
+MAX_MEAN = 1000.0  # the largest per-team rate of one event class per match; the defaults are below 13
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,14 @@ class GeneratorConfig:
     handball_share: float = 0.05
     dangerous_play_share: float = 0.05
     filler_rate: float = 0.08
+
+    def __post_init__(self) -> None:
+        # replace() runs this again, so with_means is checked too
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for event, mean in self.means.items():
+            if not 0 <= mean <= MAX_MEAN:  # NaN fails too
+                raise ValueError(f"the {event.name.lower()} mean must be from 0 to {MAX_MEAN:g}, got {mean!r}")
 
     def with_means(self, **overrides: float) -> "GeneratorConfig":
         means = dict(self.means)
@@ -255,13 +262,13 @@ class _Side:
     def __init__(self, team: TeamSide, numbers: tuple[int, int]) -> None:
         self.team = team
         self.text = team.display
-        self.numbers = numbers  # (low, high + 1), as rng.integers takes them
+        self.numbers = numbers  # (low, high + 1), as Rng.integers takes them
         self.tags = tuple(f"Player{n}" for n in range(*numbers))
         self.opponent = self  # set to the other side once both exist
 
-    def draw_tag(self, rng: np.random.Generator) -> str:
+    def draw_tag(self, rng: Rng) -> str:
         lo, hi = self.numbers
-        return self.tags[int(rng.integers(lo, hi)) - lo]
+        return self.tags[rng.integers(lo, hi) - lo]
 
 
 _HOME, _AWAY = _Side(TeamSide.HOME, (1, 19)), _Side(TeamSide.AWAY, (19, 37))
@@ -273,7 +280,7 @@ _Event = tuple[_Side, RawEventLabel, "str | None"]
 
 
 class _Renderer:
-    def __init__(self, bank: TemplateBank, rng: np.random.Generator) -> None:
+    def __init__(self, bank: TemplateBank, rng: Rng) -> None:
         self.bank = bank
         self.rng = rng
         self.goals = {_HOME: 0, _AWAY: 0}
@@ -285,11 +292,11 @@ class _Renderer:
         parts = list(entry.parts)
         for i in range(1, len(parts), 2):
             slot = parts[i]
-            parts[i] = ctx[slot] if isinstance(slot, str) else slot[int(self.rng.integers(len(slot)))]
+            parts[i] = ctx[slot] if isinstance(slot, str) else slot[self.rng.integers(len(slot))]
         return "".join(parts)
 
     def _pick(self, pool: Sequence[_Entry]) -> _Entry:
-        return pool[int(self.rng.integers(len(pool)))]
+        return pool[self.rng.integers(len(pool))]
 
     def scoreline(self) -> str:
         return f"Home Team {self.goals[_HOME]}, Away Team {self.goals[_AWAY]}"
@@ -363,13 +370,13 @@ def _label_cuts(cfg: GeneratorConfig) -> tuple[tuple[tuple[float, RawEventLabel]
 _Unit = tuple[tuple[_Event, ...], bool]
 
 
-def _sample_events(cfg: GeneratorConfig, rng: np.random.Generator) -> list[_Unit]:
+def _sample_events(cfg: GeneratorConfig, rng: Rng) -> list[_Unit]:
     events: list[_Event] = []
     label_cuts = _label_cuts(cfg)
     for team in TEAM_ORDER:
         side = _SIDE_OF[team]
         for cls, cuts in zip(EVENT_ORDER, label_cuts):
-            for _ in range(int(rng.poisson(cfg.means.get(cls, 0.0)))):
+            for _ in range(rng.poisson(cfg.means.get(cls, 0.0))):
                 if len(cuts) == 1:
                     label = cuts[0][1]
                 else:
@@ -409,13 +416,11 @@ def _sample_events(cfg: GeneratorConfig, rng: np.random.Generator) -> list[_Unit
 
 def generate_one(cfg: GeneratorConfig, index: int) -> tuple[MatchInstance, EventScript]:
     """One deterministic instance; the script is the ground-truth event list."""
-    import numpy as np  # only generation needs it; reading datasets must not pay for it
-
     bank = default_bank()
-    rng = np.random.default_rng([cfg.seed, index])
+    rng = Rng([cfg.seed, index])
     units = _sample_events(cfg, rng)
     rng.shuffle(units)
-    split = int(round(len(units) * (0.45 + 0.1 * rng.random())))
+    split = round(len(units) * (0.45 + 0.1 * rng.random()))
 
     r = _Renderer(bank, rng)
     r.boilerplate("kickoff")

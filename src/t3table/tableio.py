@@ -64,6 +64,13 @@ def count_of(cell: str) -> int | None:
     return count if 0 <= count <= MAX_COUNT else None
 
 
+def _cell_error(code: str, side: TeamSide, event: EventType, cell: str, why: str) -> ParsedTableOutcome:
+    """The malformed outcome of ``cell``, quoted whole up to 40 characters and by its first 40 past that."""
+    cell = cell.strip()
+    quoted = repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
+    return ParsedTableOutcome.malformed(code, f"{side.display} {event.column_header} is {quoted}, {why}")
+
+
 def _split_row(line: str) -> list[str]:
     if "|" in line:
         cells = [c.strip() for c in line.split("|")]
@@ -162,16 +169,11 @@ def _parse_tolerant(text: str) -> ParsedTableOutcome:
                     )
                 value = _clean_cell(row[j])
                 if value.lower() in _FILLERS:
-                    return ParsedTableOutcome.malformed(
-                        "filler_cell",
-                        f"{side.display} {event.column_header} is {row[j].strip()!r}, not a count",
-                    )
+                    return _cell_error("filler_cell", side, event, row[j], "not a count")
                 count = count_of(value)
                 if count is None:
-                    return ParsedTableOutcome.malformed(
-                        "bad_cell",
-                        f"{side.display} {event.column_header} is {row[j].strip()!r}, not a non-negative integer",
-                    )
+                    why = f"a count past {MAX_COUNT}" if value.isdecimal() else "not a non-negative integer"
+                    return _cell_error("bad_cell", side, event, row[j], why)
                 cells[(side, event)] = count
         return ParsedTableOutcome.ok(SummaryTable.from_cells(cells))
 

@@ -62,12 +62,24 @@ def test_gen_mean_takes_an_event_by_its_column_header(tmp_path, runner, pair):
 @pytest.mark.parametrize("pair, message", [
     ("goals", "--mean expects name=value, got 'goals'"),
     ("goals=many", "--mean value for 'goals' must be a number"),
-], ids=["no_equals", "not_a_number"])
+    ("goals=-1", "the goals mean must be from 0 to 1000, got -1.0"),
+    ("goals=nan", "the goals mean must be from 0 to 1000, got nan"),
+    ("goals=inf", "the goals mean must be from 0 to 1000, got inf"),
+    ("goals=1e30", "the goals mean must be from 0 to 1000, got 1e+30"),
+], ids=["no_equals", "not_a_number", "negative", "nan", "infinite", "past_max_mean"])
 def test_gen_bad_mean_names_the_problem(tmp_path, runner, pair, message):
     out = tmp_path / "x.jsonl"
     result = runner.invoke(main, ["gen", "--out", str(out), "--n", "1", "--mean", pair])
     assert result.exit_code == 2
     assert message in result.output
+    assert not out.exists()
+
+
+def test_gen_negative_seed_is_usage_error(tmp_path, runner):
+    out = tmp_path / "x.jsonl"
+    result = runner.invoke(main, ["gen", "--out", str(out), "--n", "1", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "seed must be >= 0, got -1" in result.output
     assert not out.exists()
 
 

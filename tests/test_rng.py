@@ -1,0 +1,82 @@
+"""t3table.rng against numpy: the same entropy gives the same draws, value for value."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from t3table.rng import POISSON_LAM_MAX, Rng
+
+np = pytest.importorskip("numpy")
+
+# below 10 the multiplication method, from 10 up PTRS; 9.99 and 10 sit either side of the switch
+LAMS = (0, 0.04, 1.38, 9.99, 10, 10.34, 12.71, 50, 1e4)
+
+draws = st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("between"), st.integers(-(2**40), 2**40), st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("random")),
+    # a run of draws: a PTRS constant that is off moves about one draw in a hundred
+    st.tuples(st.just("poisson"), st.sampled_from(LAMS), st.integers(1, 50)),
+    st.tuples(st.just("shuffle"), st.integers(0, 60)),
+)
+
+
+def _draw(rng, draw: tuple):
+    kind, *args = draw
+    if kind == "integers":
+        return int(rng.integers(*args))
+    if kind == "between":  # integers(low, low + width)
+        low, width = args
+        return int(rng.integers(low, low + width))
+    if kind == "random":
+        return float(rng.random())
+    if kind == "poisson":
+        lam, n = args
+        return [int(rng.poisson(lam)) for _ in range(n)]
+    items = list(range(args[0]))
+    rng.shuffle(items)
+    return items
+
+
+# seeds past 2**32 take more than one seeding word, past 2**96 more than the pool's four
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**160), st.integers(0, 2**32), st.lists(draws, max_size=60))
+def test_every_draw_equals_numpys(seed, index, sequence):
+    ours, theirs = Rng([seed, index]), np.random.default_rng([seed, index])
+    for draw in sequence:
+        assert _draw(ours, draw) == _draw(theirs, draw), draw
+
+
+@pytest.mark.parametrize("lam", (10, 12.71, 1e4, 1e9))
+def test_long_poisson_runs_equal_numpys(lam):
+    # PTRS rejects and recomputes k often enough here to reach its log-gamma test
+    ours, theirs = Rng([5, 0]), np.random.default_rng([5, 0])
+    assert [ours.poisson(lam) for _ in range(3000)] == theirs.poisson(lam, 3000).tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Rng([-1, 0]),
+    lambda: Rng([0, 0]).integers(0),
+    lambda: Rng([0, 0]).integers(5, 5),
+    lambda: Rng([0, 0]).integers(2**32),
+    lambda: Rng([0, 0]).integers(-1, 2**32 - 1),
+    lambda: Rng([0, 0]).poisson(-1e-9),
+    lambda: Rng([0, 0]).poisson(math.nan),
+    lambda: Rng([0, 0]).poisson(math.inf),
+    lambda: Rng([0, 0]).poisson(math.nextafter(POISSON_LAM_MAX, math.inf)),
+], ids=["negative_entropy", "empty_range", "empty_range_between", "range_2_32", "range_2_32_between",
+        "negative_lam", "nan_lam", "infinite_lam", "lam_past_max"])
+def test_what_it_does_not_copy_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_lam_max_is_numpys():
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_LAM_MAX)
+    with pytest.raises(ValueError):
+        rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf))

@@ -196,6 +196,22 @@ def test_junk_digits_are_a_bad_cell_on_both_paths(cell, shape):
         assert "Home Team Goals is" in outcome.detail
 
 
+# a cell of up to 40 characters is quoted whole; a longer one by its first 40 and its length
+@pytest.mark.parametrize("cell, code, detail", [
+    ("three", "bad_cell", "'three', not a non-negative integer"),
+    ("n/a", "filler_cell", "'n/a', not a count"),
+    ("x" * 40, "bad_cell", f"{'x' * 40!r}, not a non-negative integer"),
+    ("x" * 41, "bad_cell", f"{'x' * 40!r}... (41 characters), not a non-negative integer"),
+    ("*" * 50 + "n/a", "filler_cell", f"{'*' * 40!r}... (53 characters), not a count"),
+    (str(MAX_COUNT + 1), "bad_cell", f"'{MAX_COUNT + 1}', a count past {MAX_COUNT}"),
+    ("9" * 5000, "bad_cell", f"{'9' * 40!r}... (5000 characters), a count past {MAX_COUNT}"),
+    ("\u0669" * 5000, "bad_cell", repr("\u0669" * 40) + f"... (5000 characters), a count past {MAX_COUNT}"),
+], ids=["word", "filler", "40_chars", "41_chars", "long_filler", "past_max_count", "5000_digits", "5000_arabic_indic"])
+def test_cell_detail_quotes_at_most_40_characters(cell, code, detail):
+    outcome = _parse_tolerant(to_csv(EXAMPLE_TRUTH).replace("Home Team,0", f"Home Team,{cell}"))
+    assert (outcome.reason_code, outcome.detail) == (code, f"Home Team Goals is {detail}")
+
+
 def test_parse_single_team_row_malformed():
     text = "\n".join(to_csv(EXAMPLE_TRUTH).splitlines()[:2])
     outcome = parse_model_table(text)
