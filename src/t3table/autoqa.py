@@ -6,11 +6,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .backends import Backend, LlmRequest
 from .evaluation import QaPair, exact_match_judge, substring_table_answerer
-from .jsonl import read_jsonl, string_field
+from .jsonl import bool_field, read_jsonl, string_field
 
 DEFAULT_QA_PAIRS = 20
 
@@ -19,29 +19,25 @@ DEFAULT_QA_PAIRS = 20
 class QaDocument:
     id: str
     text: str
-    # optional scripted pairs for the stub path, checked as they load:
-    # question/answer plus prescreen_passed and table_answer overrides
-    qa: tuple[dict, ...] = field(default_factory=tuple)
+    # scripted pairs for the stub path, and the table answers that override its answerer, by question
+    qa: tuple[QaPair, ...] = ()
+    table_answers: Mapping[str, str] = field(default_factory=dict)
 
 
-def _scripted_pairs(qa: object) -> tuple[dict, ...]:
-    """A document's qa list, each item's fields checked; a wrong type raises."""
+def _document(r: dict) -> QaDocument:
+    qa = r.get("qa", [])
     if not isinstance(qa, list) or not all(isinstance(item, dict) for item in qa):
         raise TypeError("qa must be a list of objects")
-    for item in qa:
-        if not string_field(item, "question"):
-            raise ValueError("question must be non-empty")
-        string_field(item, "answer")
-        string_field(item, "table_answer", "")
-        if not isinstance(item.get("prescreen_passed", True), bool):
-            raise TypeError(f"prescreen_passed must be a bool, got {type(item['prescreen_passed']).__name__}")
-    return tuple(qa)
+    pairs = tuple(
+        QaPair(string_field(item, "question"), string_field(item, "answer"), bool_field(item, "prescreen_passed", True))
+        for item in qa
+    )
+    table_answers = {item["question"]: string_field(item, "table_answer") for item in qa if "table_answer" in item}
+    return QaDocument(str(r["id"]), string_field(r, "text"), pairs, table_answers)
 
 
 def load_documents(path: str | Path) -> list[QaDocument]:
-    return read_jsonl(
-        path, lambda r: QaDocument(id=str(r["id"]), text=string_field(r, "text"), qa=_scripted_pairs(r.get("qa", [])))
-    )
+    return read_jsonl(path, _document)
 
 
 def load_tables(path: str | Path) -> dict[str, str]:
@@ -52,24 +48,13 @@ def load_tables(path: str | Path) -> dict[str, str]:
 
 def stub_components(doc: QaDocument):
     """Generator/answerer/judge triple driven entirely by the document's qa list."""
-    pairs = [
-        QaPair(
-            question=item["question"],
-            reference_answer=item["answer"],
-            prescreen_passed=item.get("prescreen_passed", True),
-        )
-        for item in doc.qa
-    ]
-    overrides = {
-        item["question"]: item["table_answer"] for item in doc.qa if "table_answer" in item
-    }
 
     def qa_gen(_doc_text: str) -> Sequence[QaPair]:
-        return pairs
+        return doc.qa
 
     def answerer(table_render: str, pair: QaPair) -> str:
-        if pair.question in overrides:
-            return overrides[pair.question]
+        if pair.question in doc.table_answers:
+            return doc.table_answers[pair.question]
         return substring_table_answerer(table_render, pair)
 
     return qa_gen, answerer, exact_match_judge

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -21,7 +22,7 @@ from typing import Callable, Protocol
 
 from . import prompts
 from .jsonl import is_number, load_json
-from .model import SummaryTable
+from .model import SummaryTable, is_count
 from .tableio import to_csv
 from .tuples import integrate, parse_tuples
 
@@ -29,6 +30,7 @@ API_KEY_ENV = "T3_API_KEY"
 
 # json.dumps with sort_keys builds an encoder per call
 _CANONICAL = json.JSONEncoder(sort_keys=True)
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class BackendError(RuntimeError):
@@ -62,12 +64,12 @@ class LlmResponse:
     completion_tokens: int = 0
     latency_s: float = 0.0
 
-
-def checked(r: LlmResponse) -> LlmResponse:
-    """``r`` if ``text`` is a string and the counts and latency numbers (as jsonl.is_number), else a BackendError."""
-    if not (isinstance(r.text, str) and all(map(is_number, (r.prompt_tokens, r.completion_tokens, r.latency_s)))):
-        raise BackendError(f"backend response has wrong-typed fields: {r!r:.300}")
-    return r
+    def __post_init__(self) -> None:
+        # every backend's reply and every cache entry is built here, so none with a wrong-typed field gets further;
+        # a lone surrogate (a JSON "\ud800" escape gives one) would fail the UTF-8 write of the cache or transcript
+        if not (isinstance(self.text, str) and (self.text.isascii() or not _SURROGATE.search(self.text))
+                and is_count(self.prompt_tokens) and is_count(self.completion_tokens) and is_number(self.latency_s)):
+            raise BackendError(f"backend response has wrong-typed fields: {self!r:.300}")
 
 
 class Backend(Protocol):
@@ -175,15 +177,11 @@ class HttpBackend:
             try:
                 payload = resp.json()
                 text = payload["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                usage = payload.get("usage") or {}
+                prompt_tokens, completion_tokens = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+            except (AttributeError, RecursionError, ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"unexpected response shape from {self.endpoint}: {exc}") from exc
-            usage = payload.get("usage") or {}
-            return LlmResponse(
-                text=text,
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-                latency_s=time.monotonic() - start,
-            )
+            return LlmResponse(text, prompt_tokens, completion_tokens, latency_s=time.monotonic() - start)
         raise BackendError(f"backend failed after {self.retries} attempts: {last_error}")
 
 
@@ -208,7 +206,7 @@ class CachingBackend:
         """The response a cache entry holds; None if it is missing or does not decode."""
         try:
             with open(path, "rb") as f:
-                return checked(LlmResponse(**load_json(f.read())["response"]))
+                return LlmResponse(**load_json(f.read())["response"])
         except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):
             return None
 
@@ -227,7 +225,7 @@ class CachingBackend:
             if os.path.exists(path):
                 raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {key}")
-        response = checked(self.inner.complete(request))  # an entry _read rejects would never hit
+        response = self.inner.complete(request)
         record = {"request": json.loads(request.canonical_json), "response": asdict(response)}
         tmp = os.path.join(self._dir, f"{key}.tmp-{os.getpid()}-{threading.get_ident()}")
         Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")

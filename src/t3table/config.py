@@ -7,6 +7,7 @@ built-in defaults; the API key always comes from the environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import inf
 from pathlib import Path
 
 DEFAULT_MODEL = "t3-offline"
@@ -22,6 +23,18 @@ class BackendSettings:
     retries: int = 3
     backoff_s: float = 1.0
     timeout_s: float = 120.0
+
+    def __post_init__(self) -> None:
+        # replace() runs this again, so merged_with is checked too; NaN fails every comparison
+        for key, ok, want in (
+            ("parallelism", self.parallelism >= 1, ">= 1"),
+            ("retries", self.retries >= 1, ">= 1"),
+            ("backoff_s", 0 <= self.backoff_s < inf, "finite and >= 0"),
+            ("temperature", 0 <= self.temperature < inf, "finite and >= 0"),
+            ("timeout_s", 0 < self.timeout_s < inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
 
     def merged_with(self, **overrides: object) -> "BackendSettings":
         present = {k: v for k, v in overrides.items() if v is not None}

@@ -12,7 +12,7 @@ from math import inf
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .model import TEAM_ORDER, SummaryTable
+from .model import MAX_COUNT, TEAM_ORDER, SummaryTable, is_count
 
 T = TypeVar("T")
 
@@ -74,30 +74,35 @@ def is_number(value: object) -> bool:
     return type(value) in (int, float) and -inf < value < inf
 
 
-def string_field(record: dict, key: str, default: str | None = None) -> str:
-    """``record[key]``, which must be a string; any other type is a TypeError.
-
-    A missing key is a KeyError unless there is a default.
-    """
-    value = record[key] if default is None else record.get(key, default)
+def string_field(record: dict, key: str) -> str:
+    """``record[key]``, which must be a string; any other type is a TypeError, a missing key a KeyError."""
+    value = record[key]
     if not isinstance(value, str):
         raise TypeError(f"{key} must be a string, got {type(value).__name__}")
     return value
 
 
-def number_field(record: dict, key: str, default: float | None = None) -> float:
+def number_field(record: dict, key: str) -> float:
     """``record[key]``, which must pass is_number, as string_field."""
-    value = record[key] if default is None else record.get(key, default)
+    value = record[key]
     if not is_number(value):
         raise TypeError(f"{key} must be a number (an int or a finite float), got {value!r:.40}")
     return value
 
 
-def count_field(record: dict, key: str, default: int | None = None) -> int:
-    """``record[key]``, which must be a number that is an int >= 0, as number_field."""
-    value = number_field(record, key, default)
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key} must be an int >= 0, got {value!r}")
+def count_field(record: dict, key: str, low: int = 0, high: int = MAX_COUNT) -> int:
+    """``record[key]``, which must pass is_count from ``low`` to ``high``; any other value is a ValueError."""
+    value = record[key]
+    if not is_count(value, low, high):
+        raise ValueError(f"{key} must be an int from {low} to {high}, got {value!r:.40}")
+    return value
+
+
+def bool_field(record: dict, key: str, default: bool | None = None) -> bool:
+    """``record[key]`` (``default`` when the key is missing, if given), which must be true or false, as string_field."""
+    value = record[key] if default is None else record.get(key, default)
+    if type(value) is not bool:
+        raise TypeError(f"{key} must be a bool, got {type(value).__name__}")
     return value
 
 

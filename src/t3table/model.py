@@ -197,6 +197,11 @@ class EventTuple:
 MAX_COUNT = 2**53  # the largest count a cell holds: scores take counts as floats, which hold every int up to it
 
 
+def is_count(value: object, low: int = 0, high: int = MAX_COUNT) -> bool:
+    """Whether ``value`` is an int from ``low`` to ``high``; ``type()`` keeps out bool."""
+    return type(value) is int and low <= value <= high
+
+
 @dataclass(frozen=True, slots=True)
 class SummaryTable:
     """2 (teams) x 8 (event types) integer counts from 0 to MAX_COUNT, flat in CELLS order."""
@@ -207,7 +212,7 @@ class SummaryTable:
         if len(self.counts) != len(CELLS):
             raise ValueError(f"summary table must have {len(CELLS)} cells")
         for cell in self.counts:
-            if not isinstance(cell, int) or isinstance(cell, bool) or not 0 <= cell <= MAX_COUNT:
+            if not is_count(cell):
                 raise ValueError(f"cells must be integers from 0 to {MAX_COUNT}, got {cell!r:.40}")
 
     @classmethod

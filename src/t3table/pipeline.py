@@ -22,9 +22,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest, checked
+from .backends import Backend, BackendError, CachingBackend, LlmRequest
 from .config import DEFAULT_MODEL
-from .jsonl import count_field, load_json, number_field, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
+from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
+from .jsonl import table_from_rows, table_to_rows, to_json, write_jsonl
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -98,7 +99,7 @@ class _Run:
 
     def call(self, stage: int, messages: list[Message]) -> str:
         request = LlmRequest(model=self.model, messages=tuple(messages), temperature=self.temperature)
-        response = checked(self.backend.complete(request))
+        response = self.backend.complete(request)
         self.stages.append(
             StageRecord(stage=stage, kind="llm", prompt=tuple(messages), response=response.text, latency_s=response.latency_s)
         )
@@ -338,10 +339,6 @@ _LABEL_BY_TEXT: dict[str, RawEventLabel] = {label.text: label for label in RawEv
 # Exceptions are not cached: an unknown team or label stays a KeyError, a bad tag a ValueError.
 @lru_cache(maxsize=_TUPLES_KEPT)
 def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> EventTuple:
-    # an unknown label keeps its text, which must be a string: as cache keys
-    # 1 and True are equal, so a number would read back as the other
-    if not isinstance(event, str):
-        raise TypeError(f"event must be a string, got {type(event).__name__}")
     label = _LABEL_BY_TEXT[event] if known else Unknown(event)
     return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
 
@@ -351,11 +348,9 @@ def _tuples_from_dicts(records: list | tuple) -> tuple[EventTuple, ...]:
         return records
     out = []
     for d in records:
-        # checked before the memo: as cache keys 1 and True are equal
-        known = d.get("known", True)
-        if known is not True and known is not False:
-            raise TypeError(f"known must be a bool, got {type(known).__name__}")
-        out.append(_decode_tuple(d["team"], d["event"], known, d.get("player")))
+        # checked before the memo: as cache keys 1 and True are equal, so an unknown label's text 1
+        # would read back as True, and a known of 1 as true
+        out.append(_decode_tuple(d["team"], string_field(d, "event"), bool_field(d, "known"), d["player"]))
     _TUPLE_BY_JSON.update((_tuple_json(_FIELDS(tp))[1:-1], tp) for tp in out[: _TUPLES_KEPT - len(_TUPLE_BY_JSON)])
     return tuple(out)
 
@@ -384,18 +379,13 @@ def _load_transcript(data: bytes) -> object:
     return load_json(text)
 
 
-def _stage_number(s: dict) -> int:
-    stage = s["stage"]
-    if isinstance(stage, bool) or not isinstance(stage, int) or not 1 <= stage <= 3:
-        raise ValueError(f"stage must be an int from 1 to 3, got {stage!r}")
-    return stage
-
-
-def _string_pairs(pairs: list, what: str) -> tuple[tuple[str, str], ...]:
-    out = tuple((a, b) for a, b in pairs)
-    if not all(isinstance(a, str) and isinstance(b, str) for a, b in out):
+def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
+    # each pair must be a list: a string or an object of two items would unpack as well
+    if type(pairs) is not list or not all(
+        type(p) is list and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str) for p in pairs
+    ):
         raise TypeError(f"{what} must be a list of [string, string] pairs")
-    return out
+    return tuple(map(tuple, pairs))
 
 
 def transcript_from_dict(d: dict) -> RunTranscript:
@@ -409,20 +399,20 @@ def transcript_from_dict(d: dict) -> RunTranscript:
         mode=string_field(d, "mode"),
         stages=tuple(
             StageRecord(
-                stage=_stage_number(s),
+                stage=count_field(s, "stage", 1, 3),
                 kind=string_field(s, "kind"),
                 prompt=None if s["prompt"] is None else _string_pairs(s["prompt"], "prompt"),
                 response=string_field(s, "response"),
-                latency_s=number_field(s, "latency_s", 0.0),
+                latency_s=number_field(s, "latency_s"),
             )
             for s in d["stages"]
         ),
-        tuples=_tuples_from_dicts(d.get("tuples", [])),
-        rejected_lines=_string_pairs(d.get("rejected_lines", []), "rejected_lines"),
-        unknown_label_count=count_field(d, "unknown_label_count", 0),
-        final_table_text=string_field(d, "final_table_text", ""),
+        tuples=_tuples_from_dicts(d["tuples"]),
+        rejected_lines=_string_pairs(d["rejected_lines"], "rejected_lines"),
+        unknown_label_count=count_field(d, "unknown_label_count"),
+        final_table_text=string_field(d, "final_table_text"),
         outcome=outcome,
-        total_latency_s=number_field(d, "latency_s", 0.0),
+        total_latency_s=number_field(d, "latency_s"),
     )
 
 

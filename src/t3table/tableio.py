@@ -9,7 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import EVENT_ORDER, MAX_COUNT, TEAM_ORDER, EventType, SummaryTable, TeamSide, event_named, team_named
+from .model import EVENT_ORDER, MAX_COUNT, TEAM_ORDER, EventType, SummaryTable, TeamSide, event_named, is_count
+from .model import team_named
 
 CSV_HEADER = "Team," + ",".join(e.column_header for e in EVENT_ORDER)
 
@@ -61,7 +62,7 @@ def count_of(cell: str) -> int | None:
         count = int(cell) if cell.isdecimal() else -1
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return None
-    return count if 0 <= count <= MAX_COUNT else None
+    return count if is_count(count) else None
 
 
 def _cell_error(code: str, side: TeamSide, event: EventType, cell: str, why: str) -> ParsedTableOutcome:

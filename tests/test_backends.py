@@ -7,12 +7,15 @@ import json
 import sys
 
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t3table import backends as b, prompts
 from t3table.backends import BackendError, CachingBackend, HttpBackend, LlmRequest, OracleBackend
 from t3table.config import BackendSettings, parse_config_file
 from t3table.model import RawEventLabel, SummaryTable, TeamSide
-from t3table.pipeline import run_batch, subprocess_integrator
+from t3table.pipeline import run_batch, run_instance, subprocess_integrator
 from t3table.synth import GeneratorConfig, generate
 from t3table.model import EventTuple
 
@@ -101,6 +104,100 @@ def test_http_backend_client_error_is_fatal_not_retried(monkeypatch):
     assert len(calls) == 1
 
 
+def test_http_backend_retries_after_a_connection_error(monkeypatch):
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        if len(calls) == 1:
+            raise requests.ConnectionError("connection refused")
+        return _FakeResponse(200, _chat_payload("reconnected"))
+
+    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr(b.time, "sleep", lambda *_: None)
+    assert HttpBackend("https://example.invalid/x", retries=3).complete(_request()).text == "reconnected"
+    assert len(calls) == 2
+
+
+def test_http_reply_without_choices_is_an_unexpected_shape(monkeypatch):
+    monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(200, {"usage": {}}))
+    with pytest.raises(BackendError, match="unexpected response shape"):
+        HttpBackend("https://example.invalid/x").complete(_request())
+
+
+def test_http_reply_nested_too_deep_is_an_unexpected_shape(monkeypatch):
+    reply = requests.Response()
+    reply.status_code, reply._content = 200, b"[" * 100_000 + b"]" * 100_000
+    monkeypatch.setattr("requests.post", lambda url, **kw: reply)
+    with pytest.raises(BackendError, match="unexpected response shape"):
+        HttpBackend("https://example.invalid/x").complete(_request())
+
+
+def _usage(**counts):
+    return lambda payload: payload["usage"].update(counts)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.update(usage=[5, 2]), _usage(prompt_tokens="abc"), _usage(prompt_tokens=None),
+    _usage(prompt_tokens=json.loads("1e400")), _usage(prompt_tokens=-5), _usage(completion_tokens=True),
+    _usage(completion_tokens=1.5), _usage(completion_tokens=10**21),
+    lambda payload: payload["choices"][0]["message"].update(content=None),
+    # what a JSON "\ud800" escape decodes to; UTF-8 cannot write it to the cache or the transcript
+    lambda payload: payload["choices"][0]["message"].update(content="(Player1, Home Team, goal)\ud800"),
+], ids=["usage_list", "tokens_string", "tokens_null", "tokens_overflow", "tokens_negative", "tokens_bool",
+        "tokens_float", "tokens_past_max_count", "content_null", "content_lone_surrogate"])
+def test_hostile_http_reply_is_a_backend_error_and_is_not_cached(tmp_path, monkeypatch, edit):
+    payload = _chat_payload("(Player1, Home Team, goal)")
+    edit(payload)
+    monkeypatch.setattr("requests.post", lambda url, **kw: _FakeResponse(200, payload))
+    dataset = generate(GeneratorConfig(seed=3), 1)
+    for cache_dir in (None, tmp_path):
+        (transcript,) = run_batch(dataset, prompts.T3, HttpBackend("https://example.invalid/x"), cache_dir=cache_dir)
+        assert transcript.outcome.reason_code == "backend_error", transcript.outcome.detail
+    assert list(tmp_path.iterdir()) == []
+
+
+# a lone surrogate too, as a JSON "\udc00" escape gives
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                    st.characters(categories=["Cs"]))
+
+
+_json = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_counts = _json | st.integers(-3, 3) | st.integers(2**53 - 1, 2**53 + 1) | st.sampled_from([10**21, 1e400])
+
+
+def _well_typed(usage, content) -> bool:
+    """The rules, written out; a usage that is missing or empty (null, 0, "", [], {}) holds no counts."""
+    usage = usage or {}
+    if not (isinstance(content, str) and isinstance(usage, dict)):
+        return False
+    try:
+        content.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    return all(type(n) is int and 0 <= n <= 2**53 for n in counts)
+
+
+_ONE = generate(GeneratorConfig(seed=3), 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(usage=_json | st.fixed_dictionaries({}, optional={"prompt_tokens": _counts, "completion_tokens": _counts}),
+       content=_json | st.just("(Player1, Home Team, goal)"))
+def test_any_json_for_usage_and_content_ends_ok_or_as_a_backend_error(usage, content):
+    payload = {"choices": [{"message": {"role": "assistant", "content": content}}], "usage": usage}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("requests.post", lambda url, **kw: _FakeResponse(200, payload))
+        transcript = run_instance(_ONE[0], prompts.T3, HttpBackend("https://example.invalid/x"))
+    code = transcript.outcome.reason_code
+    assert not (code or "").startswith("raised_"), transcript.outcome.detail
+    assert (code == "backend_error") != _well_typed(usage, content), transcript.outcome.detail
+
+
 def test_caching_backend_stores_request_and_response(tmp_path):
     class Inner:
         def complete(self, request):
@@ -138,11 +235,13 @@ _VALID_ENTRY = '{"response": {"text": "old"}}'
                                    b'{"response": {"text": "old", "latency_s": NaN}}',
                                    b'{"response": {"text": "old", "latency_s": -Infinity}}',
                                    b'{"response": {"text": "old", "latency_s": ' + b"9" * 400 + b'.0}}',
-                                   b'{"response": {"text": "old", "prompt_tokens": 1e400}}'],
+                                   b'{"response": {"text": "old", "prompt_tokens": 1e400}}',
+                                   b'{"response": {"text": "old\\ud800"}}'],
                          ids=["invalid_json", "text_not_string", "not_an_object", "not_utf8",
                               "latency_not_number", "latency_bool", "tokens_not_number", "tokens_null",
                               "utf16_with_bom", "utf8_with_bom", "nested_too_deep",
-                              "latency_nan", "latency_minus_infinity", "latency_overflows", "tokens_overflow"])
+                              "latency_nan", "latency_minus_infinity", "latency_overflows", "tokens_overflow",
+                              "text_lone_surrogate"])
 def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     inner = b.StubBackend("fresh")
     backend = CachingBackend(tmp_path, inner)

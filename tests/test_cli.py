@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from t3table.cli import main
@@ -152,6 +153,24 @@ def test_run_replay_cold_cache_exhausts_backend(tmp_path, runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("key, value", [("retries", "0"), ("retries", "-2"), ("parallelism", "0"), ("backoff_s", "-1"),
+                                        ("timeout_s", "nan"), ("temperature", "nan")])
+def test_backend_setting_out_of_range_is_usage_error(tmp_path, runner, monkeypatch, key, value):
+    def unreachable(url, **kwargs):
+        raise requests.ConnectionError(f"cannot reach {url}")
+
+    monkeypatch.setattr("requests.post", unreachable)
+    data, config, out = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "3", "--seed", "1"])
+    # backoff_s = 0 keeps retries quick; for backoff_s itself, the later line wins
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\nbackoff_s = 0\n{key} = {value}\n")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "http",
+                                  "--config", str(config), "--out", str(out), "--quiet"])
+    assert result.exit_code == 2
+    assert f"{key} must be" in result.output
+    assert not out.exists()
+
+
 def test_run_t3m_with_stub_records_single_call(tmp_path, runner):
     data = tmp_path / "data.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "1", "--seed", "3"])
@@ -205,13 +224,13 @@ def test_transcript_id_that_is_not_a_string_is_data_error(tmp_path, runner, reco
     pytest.param(lambda r: r.update(rejected_lines=[[5, 6]]), "rejected_lines must be", id="rejected_lines"),
     pytest.param(lambda r: r.update(latency_s="x"), "latency_s must be a number", id="latency_s"),
     pytest.param(lambda r: r.update(final_table_text=5), "final_table_text must be a string", id="final_table_text"),
-    pytest.param(lambda r: r.update(unknown_label_count="x"), "unknown_label_count must be a number",
+    pytest.param(lambda r: r.update(unknown_label_count="x"), "unknown_label_count must be an int from 0 to",
                  id="unknown_label_count"),
-    pytest.param(lambda r: r.update(unknown_label_count=2.5), "unknown_label_count must be an int >= 0",
+    pytest.param(lambda r: r.update(unknown_label_count=2.5), "unknown_label_count must be an int from 0 to",
                  id="unknown_label_count_float"),
-    pytest.param(lambda r: r.update(unknown_label_count=-1), "unknown_label_count must be an int >= 0",
+    pytest.param(lambda r: r.update(unknown_label_count=-1), "unknown_label_count must be an int from 0 to",
                  id="unknown_label_count_negative"),
-    pytest.param(lambda r: r.update(unknown_label_count=True), "unknown_label_count must be a number",
+    pytest.param(lambda r: r.update(unknown_label_count=True), "unknown_label_count must be an int from 0 to",
                  id="unknown_label_count_bool"),
     pytest.param(lambda r: r["stages"][0].update(kind=5), "kind must be a string", id="stage_kind"),
     pytest.param(lambda r: r["stages"][0].update(latency_s="x"), "latency_s must be a number", id="stage_latency_s"),
@@ -224,6 +243,16 @@ def test_transcript_id_that_is_not_a_string_is_data_error(tmp_path, runner, reco
     pytest.param(lambda r: r["stages"][0].update(stage=4), "stage must be an int from 1 to 3", id="stage_range"),
     pytest.param(lambda r: r["tuples"][0].update(known="no"), "known must be a bool", id="known_string"),
     pytest.param(lambda r: r["tuples"][0].update(known=1), "known must be a bool", id="known_int"),
+    # a string or an object of two items unpacks as a pair too, and would read back as other text
+    pytest.param(lambda r: r["stages"][0].update(prompt=["ab"]), "prompt must be a list of [string, string] pairs",
+                 id="prompt_pair_string"),
+    pytest.param(lambda r: r.update(rejected_lines=["xy"]), "rejected_lines must be", id="rejected_line_string"),
+    pytest.param(lambda r: r.update(rejected_lines={"xy": 1}), "rejected_lines must be", id="rejected_lines_object"),
+    # every key is required, so a misspelled one does not read back as a default
+    pytest.param(lambda r: r["tuples"][0].update(plyer=r["tuples"][0].pop("player")), "KeyError: 'player'",
+                 id="tuple_player_misspelled"),
+    pytest.param(lambda r: r.update(unknown_label_cout=r.pop("unknown_label_count")),
+                 "KeyError: 'unknown_label_count'", id="unknown_label_count_misspelled"),
 ])
 def test_corrupted_transcript_is_data_error(tmp_path, runner, edit, message):
     data = tmp_path / "data.jsonl"

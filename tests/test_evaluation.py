@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from t3table.autoqa import LlmQa
+from t3table.backends import LlmRequest, StubBackend
 from t3table.evaluation import (
     ALL_CELLS,
     QaPair,
@@ -210,6 +213,37 @@ def test_coverage_monotone_in_correct_flips():
         cov = autoqa_coverage("doc", table, lambda _: pairs, substring_table_answerer, exact_match_judge)
         assert cov > previous
         previous = cov
+
+
+# numbered two ways, unnumbered, and a line that is no pair
+_GENERATED = """1. Q: Who scored? | A: Player9
+2) Q: How many corners? | A: 4
+some prose
+Q: Which team won? | A: Home Team"""
+
+
+def test_llm_qa_parses_numbered_pairs_and_prescreens_with_the_judge():
+    passage = {"Who scored?": "Player9", "How many corners?": "five", "Which team won?": "Home Team"}
+    table = {"Who scored?": "UNKNOWN", "Which team won?": "Home Team"}
+
+    def script(request: LlmRequest) -> str:
+        prompt = request.last_text
+        if prompt.startswith("Read the passage"):
+            return _GENERATED
+        if prompt.startswith("Question:"):  # the judge
+            reference, candidate = re.findall(r"answer: (.*)$", prompt, re.MULTILINE)
+            return "YES" if candidate == reference else "NO"
+        question = re.search(r"^Question: (.*)$", prompt, re.MULTILINE)[1]
+        return (passage if "the passage" in prompt else table)[question]
+
+    backend = StubBackend(script)
+    qa = LlmQa(backend, "m", n_pairs=3)
+    pairs = qa.qa_gen("the match report")
+    assert [(p.question, p.reference_answer, p.prescreen_passed) for p in pairs] == [
+        ("Who scored?", "Player9", True), ("How many corners?", "4", False), ("Which team won?", "Home Team", True)]
+    assert backend.calls == 1 + 3 * 2  # the pairs, then per pair a passage answer and a pre-screen judgement
+    assert autoqa_coverage("the match report", "Team,Goals", lambda _: pairs, qa.answerer, qa.judge) == 0.5
+    assert backend.calls == 7 + 2 * 2  # per surviving pair a table answer and a judgement
 
 
 def test_coverage_curve_values():

@@ -1,0 +1,144 @@
+"""Hostile files: a transcript and the cache entries the oracle loop wrote, each mutated one way.
+
+A transcript either fails to read with a DatasetError that names the line, or reads back as exactly the JSON
+its lines hold; a cache entry either misses or gives a response whose fields keep their rules.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import re
+import tempfile
+from math import inf
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from t3table import pipeline, prompts
+from t3table.backends import BackendError, CachingBackend, LlmRequest, OracleBackend
+from t3table.jsonl import DatasetError
+from t3table.pipeline import read_transcripts, run_batch, transcript_to_dict, write_transcripts
+from t3table.synth import GeneratorConfig, generate
+
+_SPLICED = "@@spliced@@"
+_two_chars = st.text(min_size=2, max_size=2)
+_scalars = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _two_chars
+# another JSON value, weighted to what unpacks as a pair (a 2-character string, a 2-key object), or a splice
+_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(_two_chars, _scalars, min_size=2, max_size=2),
+    st.sampled_from(["1e400", "9" * 400]).map(lambda token: (_SPLICED, token)),
+)
+
+
+@functools.cache
+def _oracle_files() -> tuple[bytes, dict[str, bytes]]:
+    """The transcript and the cache entries, by file name, of a seed-3 t3 oracle run over 3 instances."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = Path(root, "cache")
+        transcripts = run_batch(generate(GeneratorConfig(seed=3), 3), prompts.T3, OracleBackend(), cache_dir=cache)
+        write_transcripts(transcripts, Path(root, "t.jsonl"))
+        return Path(root, "t.jsonl").read_bytes(), {p.name: p.read_bytes() for p in sorted(cache.glob("*.json"))}
+
+
+def _paths(value, path=()):
+    """Every place in a JSON value, as the keys and indexes that reach it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _kind(path) -> str:
+    """The field a place is in: the last key on its path, then [] for each index after it."""
+    kind = ""
+    for key in path:
+        kind = key if isinstance(key, str) else kind + "[]"
+    return kind
+
+
+def _swap(value, path, new):
+    if not path:
+        return new
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return value
+
+
+def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
+    """``records`` joined by newlines (a transcript's lines, or a cache entry alone) with one mutation, and the
+    offset of its first changed byte. A swap puts another value, or a huge number, in one place of one record,
+    which ``dumps`` then writes back."""
+    data = b"\n".join(records)
+    how = draw(st.sampled_from(["truncate", "flip_a_byte", "swap"]))
+    if how == "truncate":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at], at
+    if how == "flip_a_byte":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:], at
+    i = draw(st.integers(0, len([r for r in records if r]) - 1))
+    record = json.loads(records[i])
+    by_kind: dict[str, list] = {}
+    for path in _paths(record):
+        by_kind.setdefault(_kind(path), []).append(path)
+    # each kind of field as likely as any other, however many tuples a line holds
+    path = draw(st.sampled_from(sorted(by_kind[draw(st.sampled_from(sorted(by_kind)))], key=repr)))
+    new = draw(_values)
+    text = dumps(_swap(record, path, _SPLICED if isinstance(new, tuple) else new))
+    if isinstance(new, tuple):
+        text = text.replace(json.dumps(_SPLICED), new[1])
+    at = len(b"\n".join(records[:i]))
+    return b"\n".join([*records[:i], text.encode(), *records[i + 1:]]), at
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_transcript_reads_back_as_its_json_or_names_the_bad_line(tmp_path_factory, data):
+    original, _ = _oracle_files()
+    path = tmp_path_factory.mktemp("mutated") / "t.jsonl"
+    path.write_bytes(original)
+    pipeline._TUPLE_BY_JSON.clear()
+    read_transcripts(path)  # so the memo holds this run's tuple texts, as after a first read
+    mutated, at = _mutated(original.split(b"\n"), data.draw, lambda record: json.dumps(record, ensure_ascii=False))
+    path.write_bytes(mutated)
+    try:
+        transcripts = read_transcripts(path)
+    except DatasetError as exc:
+        named = re.search(rf"at line (\d+) of {re.escape(str(path))}", str(exc))
+        assert named and int(named[1]) >= mutated[:at].count(b"\n") + 1, str(exc)
+        return
+    lines = [line for line in mutated.split(b"\n") if line.strip()]
+    assert [transcript_to_dict(t) for t in transcripts] == [json.loads(line) for line in lines]
+
+
+def _keeps_the_rules(response) -> bool:
+    """The rules of a response, written out: a text UTF-8 can write, counts from 0 to 2**53, a finite latency."""
+    counts = (response.prompt_tokens, response.completion_tokens)
+    return (type(response.text) is str and response.text.encode("utf-8", "replace").decode("utf-8") == response.text
+            and all(type(n) is int and 0 <= n <= 2**53 for n in counts)
+            and type(response.latency_s) in (int, float) and -inf < response.latency_s < inf)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_cache_entry_misses_or_gives_a_response_that_keeps_the_rules(tmp_path_factory, data):
+    _, entries = _oracle_files()
+    name = data.draw(st.sampled_from(sorted(entries)))
+    request = json.loads(entries[name])["request"]
+    request = LlmRequest(request["model"], tuple(map(tuple, request["messages"])), request["temperature"])
+    assert request.cache_key + ".json" == name
+    mutated, _ = _mutated([entries[name]], data.draw, lambda record: json.dumps(record, ensure_ascii=False, indent=1))
+    cache = tmp_path_factory.mktemp("cache")
+    (cache / name).write_bytes(mutated)
+    try:
+        response = CachingBackend(cache, inner=None).complete(request)
+    except BackendError as exc:
+        assert "does not decode" in str(exc)
+        return
+    assert _keeps_the_rules(response), response

@@ -416,6 +416,16 @@ def test_transcript_reader_reads_as_load_json_does(tmp_path_factory, data):
     assert _read(read_transcripts, path) == want
 
 
+def test_replay_of_a_t2_transcript_read_back_integrates_its_tuples(tmp_path, synthetic):
+    transcripts = run_batch(synthetic, prompts.T2, OracleBackend())
+    path = tmp_path / "t.jsonl"
+    write_transcripts(transcripts, path)
+    back = read_transcripts(path)
+    assert back == transcripts
+    for t, inst in zip(back, synthetic):
+        assert replay_outcome(t) == t.outcome == ParsedTableOutcome.ok(inst.ground_truth)
+
+
 def test_second_read_of_a_t3_file_loads_no_line_whole(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     write_transcripts(run_batch(generate(GeneratorConfig(seed=3), 40), prompts.T3, OracleBackend()), path)
