@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -43,10 +43,14 @@ class LlmRequest:
     messages: tuple[prompts.Message, ...]
     temperature: float = 0.0
 
+    def as_dict(self) -> dict:
+        """The request as JSON, keys in sorted order."""
+        return {"messages": [[role, text] for role, text in self.messages], "model": self.model,
+                "temperature": self.temperature}
+
     @cached_property
     def canonical_json(self) -> str:
-        messages = [[role, text] for role, text in self.messages]
-        return _CANONICAL.encode({"model": self.model, "messages": messages, "temperature": self.temperature})
+        return _CANONICAL.encode(self.as_dict())
 
     @property
     def cache_key(self) -> str:
@@ -205,10 +209,16 @@ class CachingBackend:
     def _read(path: str) -> LlmResponse | None:
         """The response a cache entry holds; None if it is missing or does not decode."""
         try:
-            with open(path, "rb") as f:
-                return LlmResponse(**load_json(f.read())["response"])
+            fd = os.open(path, os.O_RDONLY)  # not a file object: a few-kB entry takes one os.read, and one at its end
+            try:
+                chunks = list(iter(partial(os.read, fd, 1 << 16), b""))
+            finally:
+                os.close(fd)
+            return LlmResponse(**load_json(b"".join(chunks))["response"])
         except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):
             return None
+        except IsADirectoryError as exc:  # raised by os.read, which does not name the file as open() did
+            raise IsADirectoryError(exc.errno, exc.strerror, path) from None
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         key = request.cache_key
@@ -226,7 +236,7 @@ class CachingBackend:
                 raise BackendError(f"replay cache entry {path} does not decode")
             raise BackendError(f"replay cache miss for request {key}")
         response = self.inner.complete(request)
-        record = {"request": json.loads(request.canonical_json), "response": asdict(response)}
+        record = {"request": request.as_dict(), "response": asdict(response)}
         tmp = os.path.join(self._dir, f"{key}.tmp-{os.getpid()}-{threading.get_ident()}")
         Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
         os.replace(tmp, path)

@@ -106,8 +106,19 @@ def bool_field(record: dict, key: str, default: bool | None = None) -> bool:
     return value
 
 
-# json.dumps(record, ensure_ascii=False) without building an encoder per call
-to_json = json.JSONEncoder(ensure_ascii=False).encode
+# Built once. Both write ASCII text alike but for DEL, which only the second, the faster, escapes.
+_UNICODE_JSON, _ASCII_JSON = json.JSONEncoder(ensure_ascii=False).encode, json.JSONEncoder().encode
+
+
+def to_json(record: object, texts: Iterable[str]) -> str:
+    """json.dumps(record, ensure_ascii=False); ``texts`` holds every string in ``record`` but keys of ASCII.
+    When all are ASCII without DEL, the ASCII encoder writes the same text: the test reads them, not an output
+    (str.isascii is O(1)), so no record costs two encodes."""
+    try:
+        text = "".join(texts)
+    except TypeError:  # a value that is not a string, such as an id read from a transcript
+        return _UNICODE_JSON(record)
+    return (_ASCII_JSON if text.isascii() and "\x7f" not in text else _UNICODE_JSON)(record)
 
 
 def write_jsonl(lines: Iterable[str], path: str | Path) -> None:

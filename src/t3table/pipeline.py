@@ -17,6 +17,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -181,15 +182,27 @@ def _all_events_occur(instance: MatchInstance) -> bool:
     return all(h + a >= 1 for h, a in zip(table.row(TeamSide.HOME), table.row(TeamSide.AWAY)))
 
 
-def pick_exemplars(
-    dataset: Sequence[MatchInstance], instance: MatchInstance, shots: int, seed: int
-) -> list[MatchInstance]:
-    """Seeded choice of exemplar instances in which every event type occurs."""
-    candidates = [d for d in dataset if d.id != instance.id and _all_events_occur(d)]
-    if not candidates:
+class ExemplarPool:
+    """A dataset's few-shot exemplar candidates: its instances in which every event type occurs, in order."""
+
+    def __init__(self, dataset: Sequence[MatchInstance]) -> None:
+        self.members = [d for d in dataset if _all_events_occur(d)]
+        self.positions: dict[str, list[int]] = {}
+        for i, d in enumerate(self.members):
+            self.positions.setdefault(d.id, []).append(i)
+
+
+def pick_exemplars(pool: ExemplarPool, instance: MatchInstance, shots: int, seed: int) -> list[int]:
+    """Positions in ``pool.members`` of a seeded choice of up to ``shots`` exemplars without the instance's id."""
+    skipped = pool.positions.get(instance.id, [])
+    n = len(pool.members) - len(skipped)
+    if not n:
         raise ValueError("no few-shot exemplar candidates: need instances where all events occur")
-    rng = random.Random(f"{seed}:{instance.id}")
-    return rng.sample(candidates, k=min(shots, len(candidates)))
+    # sampling range(n) draws the indices that sampling those n candidates, in pool order, draws
+    picks = random.Random(f"{seed}:{instance.id}").sample(range(n), k=min(shots, n))
+    for position in skipped:  # ascending: candidate j is the member at j plus the skipped positions up to it
+        picks = [j + (j >= position) for j in picks]
+    return picks
 
 
 def run_batch(
@@ -212,17 +225,17 @@ def run_batch(
         backend = CachingBackend(cache_dir, backend)
     progress_lock = threading.Lock()
     done = 0
-    # pick_exemplars filters again; on this pool that costs a pass over the
-    # candidates only, not over the whole dataset for every instance
-    exemplar_pool = [d for d in dataset if _all_events_occur(d)] if mode.kind is ModeKind.FEW_SHOT else []
+    if mode.kind is ModeKind.FEW_SHOT:  # each candidate is filtered and rendered once, not once per pick
+        pool = ExemplarPool(dataset)
+        # render_examples_block joins one block per exemplar with a blank line, as run_one does
+        blocks = [prompts.render_examples_block([d], mode.with_cot) for d in pool.members]
 
     def run_one(index: int) -> RunTranscript:
         nonlocal done
         instance = dataset[index]
         examples_block = None
         if mode.kind is ModeKind.FEW_SHOT:
-            exemplars = pick_exemplars(exemplar_pool, instance, mode.shots, seed)
-            examples_block = prompts.render_examples_block(exemplars, mode.with_cot)
+            examples_block = "\n\n".join(blocks[i] for i in pick_exemplars(pool, instance, mode.shots, seed))
         transcript = run_instance(
             instance,
             mode,
@@ -311,7 +324,8 @@ _TUPLES_KEPT = 4096
 # Each distinct tuple is encoded once, keyed by its fields, which hash in C but for an Unknown label
 @lru_cache(maxsize=_TUPLES_KEPT)
 def _tuple_json(fields: tuple[TeamSide, RawEventLabel | Unknown, str | None]) -> str:
-    return to_json(_tuple_to_dict(*fields))
+    team, label, player = fields
+    return to_json(_tuple_to_dict(team, label, player), (team.display, label.text, player or ""))
 
 
 # The inverse of _tuple_json, without the braces, for the tuples a full decode gave: never keyed by
@@ -321,13 +335,17 @@ _TUPLE_BY_JSON: dict[str, EventTuple] = {}
 
 
 def _transcript_line(t: RunTranscript) -> str:
-    """to_json(transcript_to_dict(t)), with each tuple's text from _tuple_json.
+    """json.dumps(transcript_to_dict(t), ensure_ascii=False), with each tuple's text from _tuple_json.
 
     The last '"tuples": []' in the record without its tuples is its own key:
     the fields after it hold strings and numbers, and an encoded string
     escapes every quote. (The id before it may be any JSON value.)
     """
-    head, _, tail = to_json(_record(t, [])).rpartition('"tuples": []')
+    texts = [t.instance_id, t.mode, t.final_table_text, t.outcome.reason_code or "", t.outcome.detail or "",
+             *chain.from_iterable(t.rejected_lines)]  # with the stages' below: every value that may be a string
+    for s in t.stages:
+        texts += (s.kind, s.response, *chain.from_iterable(s.prompt or ()))
+    head, _, tail = to_json(_record(t, []), texts).rpartition('"tuples": []')
     return "".join((head, '"tuples": [', ", ".join(map(_tuple_json, map(_FIELDS, t.tuples))), "]", tail))
 
 

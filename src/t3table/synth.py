@@ -576,7 +576,7 @@ def _instance_to_record(inst: MatchInstance) -> dict:
 
 
 def _instance_from_record(record: dict) -> MatchInstance:
-    table = record.get("table")
+    table = record["table"]  # required, so a misspelled key is not read as no ground truth
     return MatchInstance(
         id=str(record["id"]),
         commentary=string_field(record, "commentary"),
@@ -586,7 +586,8 @@ def _instance_from_record(record: dict) -> MatchInstance:
 
 
 def write_dataset(instances: Iterable[MatchInstance], path: str | Path) -> None:
-    write_jsonl((to_json(_instance_to_record(inst)) for inst in instances), path)
+    write_jsonl((to_json(_instance_to_record(inst), (inst.id, inst.commentary, *inst.meta, *inst.meta.values()))
+                 for inst in instances), path)
 
 
 def read_dataset(path: str | Path) -> list[MatchInstance]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from t3table import backends as b, prompts
 from t3table.backends import BackendError, CachingBackend, HttpBackend, LlmRequest, OracleBackend
-from t3table.config import BackendSettings, parse_config_file
+from t3table.config import DEFAULT_MODEL, BackendSettings, parse_config_file
 from t3table.model import RawEventLabel, SummaryTable, TeamSide
 from t3table.pipeline import run_batch, run_instance, subprocess_integrator
 from t3table.synth import GeneratorConfig, generate
@@ -444,3 +444,25 @@ def test_settings_merge_precedence():
     merged = settings.merged_with(parallelism=8, cache_dir=None)
     assert merged.parallelism == 8  # flag wins
     assert merged.model == "from-file"  # absent flag keeps file value
+
+
+def test_cache_entry_larger_than_one_read_still_hits(tmp_path):
+    text = "é" * 100_000  # 200 kB as UTF-8: more than one os.read chunk
+    CachingBackend(tmp_path, b.StubBackend(text)).complete(_request("big"))
+    replay = CachingBackend(tmp_path, inner=None)
+    assert replay.complete(_request("big")).text == text
+    assert replay.hits == 1 and replay.misses == 0
+
+
+@pytest.mark.parametrize("inner", [None, b.StubBackend("fresh")], ids=["replay", "with_inner"])
+def test_directory_at_an_entry_path_ends_the_instance_as_it_always_did(tmp_path, inner):
+    instance = _ONE[0]
+    messages = prompts.build_prompt(prompts.T3, 1, prompts.build_instruction(), instance.commentary)
+    path = tmp_path / f"{LlmRequest(DEFAULT_MODEL, tuple(messages), 0.0).cache_key}.json"
+    path.mkdir()
+    transcript = run_instance(instance, prompts.T3, CachingBackend(tmp_path, inner))
+    assert transcript.stages == ()
+    assert transcript.outcome.reason_code == "raised_IsADirectoryError"
+    assert transcript.outcome.detail.startswith(f"[Errno 21] Is a directory: '{path}' (at backends.py:")
+    assert transcript.outcome.detail.endswith(" in _read)")
+    assert inner is None or inner.calls == 0

@@ -525,3 +525,31 @@ def test_autoqa_misaligned_tables_is_data_error(tmp_path, runner):
     ])
     assert result.exit_code == 3
     assert "without a table" in result.output
+
+
+def test_dataset_line_without_a_table_key_is_data_error_at_run(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "3", "--seed", "1"])
+    _corrupt_line(data, 2, lambda r: r.update(tabel=r.pop("table")))
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                                  "--out", str(tmp_path / "t.jsonl"), "--quiet"])
+    assert result.exit_code == 3
+    assert "line 2" in result.output and "KeyError: 'table'" in result.output
+
+
+@pytest.mark.parametrize("key, exit_code", [("prescreen_passed", 0), ("prescreen_pased", 3)],
+                         ids=["spelled_right", "misspelled"])
+def test_autoqa_misspelled_qa_key_is_data_error(tmp_path, runner, key, exit_code):
+    docs = tmp_path / "docs.jsonl"
+    tables = tmp_path / "tables.jsonl"
+    out = tmp_path / "coverage.json"
+    qa = [{"question": "q0?", "answer": "ans-0", key: False}, {"question": "q1?", "answer": "ans-1"}]
+    docs.write_text(json.dumps({"id": "a", "text": "document a", "qa": qa}) + "\n")
+    tables.write_text(json.dumps({"id": "a", "table": "ans-1"}) + "\n")
+    result = runner.invoke(main, ["autoqa", "--documents", str(docs), "--tables", str(tables),
+                                  "--backend", "stub", "--out", str(out)])
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert "unknown qa key 'prescreen_pased' at line 1" in result.output
+    else:
+        assert json.loads(out.read_text())["documents"]["a"] == 1.0

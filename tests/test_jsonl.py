@@ -6,14 +6,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from t3table import prompts
 from t3table.autoqa import load_documents, load_tables
 from t3table.backends import OracleBackend
-from t3table.jsonl import DatasetError
-from t3table.model import EventTuple, RawEventLabel, TeamSide
-from t3table.pipeline import RunTranscript, _decode_tuple, read_transcripts, run_batch, write_transcripts
-from t3table.synth import GeneratorConfig, generate, read_dataset
+from t3table.jsonl import DatasetError, to_json
+from t3table.model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
+from t3table.pipeline import RunTranscript, StageRecord, _decode_tuple, _transcript_line, read_transcripts, run_batch
+from t3table.pipeline import transcript_to_dict, write_transcripts
+from t3table.synth import GeneratorConfig, generate, read_dataset, write_dataset
+from t3table.tableio import ParsedTableOutcome
 
 
 def test_read_transcripts_rejects_duplicate_id(tmp_path):
@@ -98,3 +102,69 @@ def test_errors_name_the_line_after_a_blank_one(tmp_path, line, problem):
     with pytest.raises(DatasetError, match=problem) as caught:
         load_documents(path)
     assert "at line 3 of" in str(caught.value)
+
+
+# --- the encoder rule ----------------------------------------------------------------
+
+# ASCII with DEL, C0 controls, quotes and backslashes; or any code point, astral ones and lone surrogates too
+_TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f~ ')) | st.text(st.characters(exclude_categories=()))
+_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _strings(value) -> list[str]:
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [s for key, item in value.items() for s in (key, *_strings(item))]
+    if isinstance(value, list):
+        return [s for item in value for s in _strings(item)]
+    return []
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=_RECORDS)
+@example(record={"a": "\x7f"})
+@example(record=["\ud800", "\U0001d11e", '"\\\x00'])
+def test_to_json_writes_what_json_dumps_writes(record):
+    assert to_json(record, _strings(record)) == json.dumps(record, ensure_ascii=False)
+    # a text that is not a string takes the encoder that writes any text
+    assert to_json(record, [*_strings(record), 5]) == json.dumps(record, ensure_ascii=False)
+
+
+def _transcripts():
+    pairs = st.lists(st.lists(_TEXT, min_size=2, max_size=2).map(tuple), max_size=3).map(tuple)
+    stages = st.builds(StageRecord, stage=st.integers(1, 3), kind=_TEXT, prompt=st.none() | pairs, response=_TEXT,
+                       latency_s=st.floats(0, 10))
+    labels = st.sampled_from(list(RawEventLabel)) | st.builds(Unknown, _TEXT)
+    tuples = st.builds(EventTuple, team=st.sampled_from(list(TeamSide)), label=labels,
+                       player=st.none() | st.integers(1, 99).map("Player{}".format))
+    outcomes = st.builds(ParsedTableOutcome.malformed, _TEXT, _TEXT)
+    outcomes |= st.just(ParsedTableOutcome.ok(SummaryTable.zero()))
+    return st.builds(RunTranscript, instance_id=_TEXT | _RECORDS, mode=_TEXT,
+                     stages=st.lists(stages, max_size=3).map(tuple), tuples=st.lists(tuples, max_size=3).map(tuple),
+                     rejected_lines=pairs, unknown_label_count=st.integers(0, 9), final_table_text=_TEXT,
+                     outcome=outcomes, total_latency_s=st.floats(0, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(transcript=_transcripts())
+def test_a_transcript_line_is_what_json_dumps_writes(transcript):
+    assert _transcript_line(transcript) == json.dumps(transcript_to_dict(transcript), ensure_ascii=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_TEXT.filter(bool), min_size=2, max_size=2),
+       meta=st.dictionaries(_TEXT, _TEXT, max_size=3))
+def test_a_dataset_line_is_what_json_dumps_writes(tmp_path_factory, texts, meta):
+    path = tmp_path_factory.mktemp("data") / "data.jsonl"
+    instance = MatchInstance(id=texts[0], commentary=texts[1], meta=meta)
+    try:
+        write_dataset([instance], path)
+    except UnicodeEncodeError:  # a lone surrogate cannot be written as UTF-8, with either encoder
+        return
+    record = {"id": texts[0], "commentary": texts[1], "table": None, "meta": meta}
+    assert path.read_text("utf-8") == json.dumps(record, ensure_ascii=False) + "\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import random
 import re
 import sys
 import threading
@@ -21,7 +22,7 @@ from t3table.backends import (
     zero_table_stub,
 )
 from t3table.jsonl import DatasetError, load_json, read_jsonl
-from t3table.model import EventTuple, RawEventLabel, SummaryTable, TeamSide, Unknown
+from t3table.model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from t3table.pipeline import (
     RunTranscript,
     StageRecord,
@@ -584,3 +585,41 @@ def test_stub_backend_is_thread_safe():
     for t in threads:
         t.join()
     assert backend.calls == 400
+
+
+def _picked_as_first_written(dataset, instance, shots, seed):
+    """The exemplar choice a batch made before it filtered and rendered each candidate once."""
+    candidates = [d for d in dataset if d.id != instance.id and pipeline._all_events_occur(d)]
+    if not candidates:
+        raise ValueError("no few-shot exemplar candidates: need instances where all events occur")
+    return random.Random(f"{seed}:{instance.id}").sample(candidates, k=min(shots, len(candidates)))
+
+
+# cells of 0 or 1, mostly 1: some six tables in ten have every event; ids repeat now and then
+_ROWS = st.lists(st.integers(0, 1) | st.just(1), min_size=8, max_size=8)
+_FEW_SHOT_INSTANCES = st.builds(
+    MatchInstance,
+    id=st.integers(0, 60).map("i{}".format),
+    commentary=st.sampled_from(["a goal.", "a foul, then a corner."]),
+    ground_truth=st.none() | st.builds(SummaryTable.from_rows, _ROWS, _ROWS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=st.lists(_FEW_SHOT_INSTANCES, min_size=1, max_size=40), shots=st.integers(1, 4),
+       with_cot=st.booleans(), seed=st.integers())
+@example(dataset=[MatchInstance("a", "x.", SummaryTable.from_rows([1] * 8, [0] * 8))], shots=1, with_cot=False, seed=0)
+def test_a_batch_picks_and_renders_exemplars_as_first_written(dataset, shots, with_cot, seed):
+    mode = prompts.few_shot(shots, with_cot)
+    expected = []
+    try:
+        for inst in dataset:
+            block = prompts.render_examples_block(_picked_as_first_written(dataset, inst, shots, seed), with_cot)
+            expected.append(prompts.build_prompt(mode, 1, prompts.build_instruction(), inst.commentary, block))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            run_batch(dataset, mode, StubBackend(""), seed=seed)
+        return
+    seen = []
+    run_batch(dataset, mode, StubBackend(lambda request: seen.append(list(request.messages)) or ""), seed=seed)
+    assert seen == expected
