@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .backends import Backend, LlmRequest
 from .evaluation import QaPair, exact_match_judge, substring_table_answerer
-from .jsonl import DatasetError, bool_field, read_jsonl, string_field
+from .jsonl import bool_field, known_keys, read_jsonl, string_field
 
 DEFAULT_QA_PAIRS = 20
 
@@ -25,11 +25,11 @@ class QaDocument:
 
 
 def _document(r: dict) -> QaDocument:
-    qa = r.get("qa", [])
+    qa = known_keys(r, {"id", "text", "qa"}, "document").get("qa", [])
     if not isinstance(qa, list) or not all(isinstance(item, dict) for item in qa):
         raise TypeError("qa must be a list of objects")
-    if unknown := {key for item in qa for key in item} - {"question", "answer", "table_answer", "prescreen_passed"}:
-        raise DatasetError(f"unknown qa key {min(unknown)!r}")  # a misspelled optional key is not one left out
+    for item in qa:
+        known_keys(item, {"question", "answer", "table_answer", "prescreen_passed"}, "qa")
     pairs = tuple(
         QaPair(string_field(item, "question"), string_field(item, "answer"), bool_field(item, "prescreen_passed", True))
         for item in qa

@@ -127,8 +127,6 @@ class OracleBackend:
                 # stage-2 output was raw tuples, not counts; integrate them
                 table = integrate(parse_tuples(payload).tuples)
             return LlmResponse(text=to_csv(table))
-        if template_id == "integrate_code":
-            raise BackendError("oracle backend does not emit code; use native integration")
         raise BackendError(f"oracle backend cannot handle template {template_id!r}")
 
 
@@ -138,7 +136,6 @@ class HttpBackend:
     def __init__(
         self,
         endpoint: str,
-        api_key: str | None = None,
         retries: int = 3,
         backoff_s: float = 1.0,
         timeout_s: float = 120.0,
@@ -146,7 +143,6 @@ class HttpBackend:
         if retries < 1:
             raise ValueError("retries must be >= 1")
         self.endpoint = endpoint
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.retries = retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
@@ -155,8 +151,8 @@ class HttpBackend:
         import requests
 
         headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        if api_key := os.environ.get(API_KEY_ENV):
+            headers["Authorization"] = f"Bearer {api_key}"
         body = {
             "model": request.model,
             "messages": [{"role": role, "content": text} for role, text in request.messages],

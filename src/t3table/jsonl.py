@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from math import inf
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import AbstractSet, Callable, Iterable, TypeVar
 
 from .model import MAX_COUNT, TEAM_ORDER, SummaryTable, is_count
 
@@ -66,6 +66,13 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T], load: Callable[[by
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"bad record {at}: {type(exc).__name__}: {exc}") from exc
     return out
+
+
+def known_keys(record: dict, keys: AbstractSet[str], what: str) -> dict:
+    """``record``, each of whose keys must be in ``keys``: a misspelled optional key is not one left out."""
+    if unknown := record.keys() - keys:
+        raise DatasetError(f"unknown {what} key {min(unknown)!r}")
+    return record
 
 
 def is_number(value: object) -> bool:

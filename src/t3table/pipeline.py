@@ -1,8 +1,8 @@
 """Stage orchestration: drive a backend through a mode's stage graph.
 
-Stage 2 of the three-stage pipeline runs as native integration (the counting
-rules are fully determined, and executing model-emitted code is off by
-default); the direct-execution variant keeps stage 2 as a model call. Every
+Stage 2 of the three-stage pipeline is always native integration: the
+counting rules fully determine it, so no model-emitted code is run. The
+direct-execution variant keeps stage 2 as a model call. Every
 stage's prompt and raw response land in an append-only transcript that can be
 replayed through the parsers.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-import subprocess
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from .backends import Backend, BackendError, CachingBackend, LlmRequest
 from .config import DEFAULT_MODEL
 from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
 from .jsonl import table_from_rows, table_to_rows, to_json, write_jsonl
-from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
+from .model import EventTuple, MatchInstance, RawEventLabel, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
 from .tuples import TupleParseReport, integrate, parse_tuples
@@ -63,34 +62,6 @@ def render_tuples_table(tuples: Iterable[EventTuple]) -> str:
     return "\n".join(lines)
 
 
-Integrator = Callable[[Sequence[EventTuple]], SummaryTable]
-
-
-def subprocess_integrator(command: Sequence[str], timeout_s: float = 30.0) -> Integrator:
-    """Stage-2 extension hook: an external process reads tuple lines on stdin
-    and writes (team, event, count) lines on stdout. Off by default."""
-
-    def run(tuples: Sequence[EventTuple]) -> SummaryTable:
-        try:
-            proc = subprocess.run(
-                list(command),
-                input=prompts.render_tuple_lines(tuples),
-                capture_output=True,
-                text=True,
-                timeout=timeout_s,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise BackendError(f"external integrator did not finish: {exc}") from exc
-        if proc.returncode != 0:
-            raise BackendError(f"external integrator failed ({proc.returncode}): {proc.stderr[:200]}")
-        table = prompts.parse_count_tuples(proc.stdout)
-        if table is None:
-            raise BackendError("external integrator output is not a full count-tuple listing")
-        return table
-
-    return run
-
-
 class _Run:
     def __init__(self, backend: Backend, model: str, temperature: float) -> None:
         self.backend = backend
@@ -123,13 +94,12 @@ def run_instance(
     model: str = DEFAULT_MODEL,
     temperature: float = 0.0,
     examples_block: str | None = None,
-    integrator: Integrator | None = None,
 ) -> RunTranscript:
     """Execute one instance through the mode's stage graph.
 
     Never raises for one instance's fault: a ``BackendError`` ends it as a
-    ``backend_error`` outcome, and any other exception from the backend, the
-    integrator or a parser as ``raised_<ExceptionType>``. Only what is not an
+    ``backend_error`` outcome, and any other exception from the backend,
+    integration or a parser as ``raised_<ExceptionType>``. Only what is not an
     ``Exception`` (KeyboardInterrupt, SystemExit) propagates.
     """
     instruction = build_instruction()
@@ -146,8 +116,7 @@ def run_instance(
             outcome = ParsedTableOutcome.ok(integrate(report.tuples))
         else:
             if mode.kind is ModeKind.T3:
-                counts = integrator(report.tuples) if integrator else integrate(report.tuples)
-                text = prompts.render_count_tuples(counts)
+                text = prompts.render_count_tuples(integrate(report.tuples))
                 run.native(2, text)
                 text = run.call(3, build_prompt(mode, 3, instruction, text))
             elif mode.kind is ModeKind.T3_DIRECT:
@@ -216,7 +185,6 @@ def run_batch(
     cache_dir: str | Path | None = None,
     seed: int = 0,
     on_progress: Callable[[int, int], None] | None = None,
-    integrator: Integrator | None = None,
 ) -> list[RunTranscript]:
     """Run the whole dataset; transcripts come back in dataset order."""
     if parallelism < 1:
@@ -243,7 +211,6 @@ def run_batch(
             model=model,
             temperature=temperature,
             examples_block=examples_block,
-            integrator=integrator,
         )
         if on_progress is not None:
             with progress_lock:

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, read_jsonl, string_field, table_from_rows, table_to_rows, to_json, write_jsonl
+from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_from_rows, table_to_rows, to_json
+from .jsonl import write_jsonl
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -576,12 +577,13 @@ def _instance_to_record(inst: MatchInstance) -> dict:
 
 
 def _instance_from_record(record: dict) -> MatchInstance:
-    table = record["table"]  # required, so a misspelled key is not read as no ground truth
+    table = record["table"]  # required: null, not a missing key, is no ground truth
+    known_keys(record, {"id", "commentary", "table", "meta"}, "dataset")
     return MatchInstance(
         id=str(record["id"]),
         commentary=string_field(record, "commentary"),
         ground_truth=None if table is None else table_from_rows(table),
-        meta={str(k): str(v) for k, v in (record.get("meta") or {}).items()},
+        meta={k: str(v) for k, v in record.get("meta", {}).items()},
     )
 
 

@@ -4,7 +4,6 @@ import codecs
 import dataclasses
 import hashlib
 import json
-import sys
 
 import pytest
 import requests
@@ -14,10 +13,8 @@ from hypothesis import strategies as st
 from t3table import backends as b, prompts
 from t3table.backends import BackendError, CachingBackend, HttpBackend, LlmRequest, OracleBackend
 from t3table.config import DEFAULT_MODEL, BackendSettings, parse_config_file
-from t3table.model import RawEventLabel, SummaryTable, TeamSide
-from t3table.pipeline import run_batch, run_instance, subprocess_integrator
+from t3table.pipeline import run_batch, run_instance
 from t3table.synth import GeneratorConfig, generate
-from t3table.model import EventTuple
 
 
 def _request(text="hello") -> LlmRequest:
@@ -342,65 +339,11 @@ def test_oracle_backend_rejects_foreign_prompt():
         OracleBackend().complete(_request("tell me a story"))
 
 
-def test_subprocess_integrator_round_trip():
-    script = (
-        "import sys\n"
-        "from t3table.tuples import parse_tuples, integrate\n"
-        "from t3table.prompts import render_count_tuples\n"
-        "report = parse_tuples(sys.stdin.read())\n"
-        "print(render_count_tuples(integrate(report.tuples)))\n"
-    )
-    integrate_external = subprocess_integrator([sys.executable, "-c", script])
-    tuples = (
-        EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player3"),
-        EventTuple(team=TeamSide.AWAY, label=RawEventLabel.SECOND_YELLOW_CARD, player="Player21"),
-    )
-    table = integrate_external(tuples)
-    assert table.row(TeamSide.HOME) == (1, 1, 0, 0, 0, 0, 0, 0)
-    assert table.row(TeamSide.AWAY) == (0, 0, 0, 1, 1, 0, 0, 0)
-
-
-def test_subprocess_integrator_failure_is_backend_error():
-    bad = subprocess_integrator([sys.executable, "-c", "import sys; sys.exit(3)"])
-    with pytest.raises(BackendError, match="external integrator failed"):
-        bad(())
-
-
-def test_subprocess_integrator_missing_binary_is_backend_error(tmp_path):
-    from t3table import prompts
-    from t3table.pipeline import run_batch
-    from t3table.synth import GeneratorConfig, generate
-
-    missing = subprocess_integrator([str(tmp_path / "no-such-integrator")])
-    transcripts = run_batch(generate(GeneratorConfig(seed=31), 2), prompts.T3, OracleBackend(), integrator=missing)
-    assert [t.outcome.reason_code for t in transcripts] == ["backend_error", "backend_error"]
-    assert "external integrator" in transcripts[0].outcome.detail
-
-
-def test_subprocess_integrator_timeout_is_backend_error():
-    from t3table import prompts
-    from t3table.pipeline import run_batch
-    from t3table.synth import GeneratorConfig, generate
-
-    slow = subprocess_integrator([sys.executable, "-c", "import time; time.sleep(10)"], timeout_s=0.2)
-    transcripts = run_batch(generate(GeneratorConfig(seed=31), 1), prompts.T3, OracleBackend(), integrator=slow)
-    assert transcripts[0].outcome.reason_code == "backend_error"
-    assert "timed out" in transcripts[0].outcome.detail
-
-
-def test_run_instance_uses_external_integrator():
-    from t3table import prompts
-    from t3table.pipeline import run_instance
-    from t3table.backends import OracleBackend
-    from t3table.synth import GeneratorConfig, generate
-
-    inst = generate(GeneratorConfig(seed=31), 1)[0]
-
-    def fake_integrator(tuples):
-        return SummaryTable.zero()  # provably different from the native path
-
-    t = run_instance(inst, prompts.T3, OracleBackend(), integrator=fake_integrator)
-    assert t.outcome.is_ok and t.outcome.table == SummaryTable.zero()
+def test_oracle_backend_refuses_the_t3_stage_2_prompt_by_its_template():
+    # t3's stage 2 is native, so the paper's code-writing prompt is one the oracle does not answer
+    prompt = prompts.build_prompt(prompts.T3, 2, prompts.build_instruction(), "(Player3, Home Team, goals)")
+    with pytest.raises(BackendError, match="^oracle backend cannot handle template 'integrate_code'$"):
+        OracleBackend().complete(LlmRequest(DEFAULT_MODEL, tuple(prompt)))
 
 
 # --- config files ------------------------------------------------------------------

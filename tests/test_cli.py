@@ -553,3 +553,84 @@ def test_autoqa_misspelled_qa_key_is_data_error(tmp_path, runner, key, exit_code
         assert "unknown qa key 'prescreen_pased' at line 1" in result.output
     else:
         assert json.loads(out.read_text())["documents"]["a"] == 1.0
+
+
+def test_misspelled_top_level_key_is_data_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    _corrupt_line(data, 2, lambda r: r.update(mta=r.pop("meta")))
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "oracle",
+                                  "--out", str(tmp_path / "t.jsonl"), "--quiet"])
+    assert result.exit_code == 3
+    assert f"unknown dataset key 'mta' at line 2 of {data}" in result.output
+    docs, tables = _write_autoqa_fixtures(tmp_path)
+    _corrupt_line(docs, 3, lambda r: r.update(qq=r.pop("qa")))
+    result = runner.invoke(main, ["autoqa", "--documents", str(docs), "--tables", str(tables),
+                                  "--backend", "stub", "--out", str(tmp_path / "c.json")])
+    assert result.exit_code == 3
+    assert f"unknown document key 'qq' at line 3 of {docs}" in result.output
+
+
+# --- inspect and eval --out on what a stub run leaves -----------------------------
+
+def _scripted_run():
+    """A dataset and its transcripts from scripted stubs: a t3 table off in two cells with a rejected tuple line,
+    a zero-shot reply with no table, and a table for an instance whose dataset line has "table": null."""
+    from conftest import EXAMPLE_TRUTH
+    from t3table import prompts
+    from t3table.backends import StubBackend
+    from t3table.model import MatchInstance, SummaryTable
+    from t3table.pipeline import run_instance
+    from t3table.tableio import to_csv
+
+    off = SummaryTable.from_rows([2, 5, 6, 1, 0, 5, 6, 6], [3, 12, 6, 0, 0, 3, 6, 4])
+    replies = {"extract": "(Player3, Home Team, goals)\n(Player5, Blue Team, fouls)", "render_table": to_csv(off)}
+    t3_stub = StubBackend(lambda request: replies[prompts.classify_prompt(request.last_text)[0]])
+    dataset = [MatchInstance("diff", "c", EXAMPLE_TRUTH), MatchInstance("bad", "c", EXAMPLE_TRUTH),
+               MatchInstance("null", "c", None)]
+    transcripts = [run_instance(dataset[0], prompts.T3, t3_stub),
+                   run_instance(dataset[1], prompts.ZERO_SHOT, StubBackend("no table here")),
+                   run_instance(dataset[2], prompts.ZERO_SHOT, StubBackend(to_csv(EXAMPLE_TRUTH)))]
+    return dataset, transcripts
+
+
+def test_inspect_shows_diffs_rejected_lines_malformed_outcomes_and_missing_truth(tmp_path, runner):
+    from t3table.pipeline import write_transcripts
+    from t3table.synth import write_dataset
+
+    dataset, transcripts = _scripted_run()
+    data, path = tmp_path / "d.jsonl", tmp_path / "t.jsonl"
+    write_dataset(dataset, data)
+    write_transcripts(transcripts, path)
+    assert '"table": null' in data.read_text().splitlines()[2]
+    shown = {}
+    for instance_id in ("diff", "bad", "null"):
+        result = invoke(runner, ["inspect", "--transcripts", str(path), "--dataset", str(data), "--id", instance_id])
+        assert result.exit_code == 0
+        shown[instance_id] = result.output.splitlines()
+    assert [line.partition(" response: ")[0] for line in shown["diff"][1:4]] == [
+        "  stage 1 [llm]", "  stage 2 [native]", "  stage 3 [llm]"]
+    assert shown["diff"][4:6] == ["  tuples: 1 parsed, 1 rejected, 0 unknown labels",
+                                  "    rejected (unresolvable team): (Player5, Blue Team, fouls)"]
+    assert shown["diff"][-3:] == ["  RMSE 0.707  error rate 12.50%",
+                                  "    Home Team Goals: predicted 2, truth 0",
+                                  "    Away Team Offsides: predicted 4, truth 2"]
+    assert shown["bad"][-1] == "  outcome: malformed [no_table_found] no table with the eight event columns found"
+    assert not any("predicted" in line for line in shown["bad"])
+    assert shown["null"][-1] == "  no ground truth in dataset; nothing to diff"
+    assert shown["null"][-3:-1] == ["    Home Team,0,5,6,1,0,5,6,6", "    Away Team,3,12,6,0,0,3,6,2"]
+
+
+def test_eval_out_lists_a_malformed_instance_by_its_reason(tmp_path, runner):
+    from t3table.pipeline import write_transcripts
+    from t3table.synth import write_dataset
+
+    dataset, transcripts = _scripted_run()
+    data, path, out = tmp_path / "d.jsonl", tmp_path / "t.jsonl", tmp_path / "r.json"
+    write_dataset(dataset, data)
+    write_transcripts(transcripts[:2], path)
+    result = invoke(runner, ["eval", "--transcripts", str(path), "--dataset", str(data), "--out", str(out)])
+    assert result.exit_code == 0 and f"report written to {out}" in result.output
+    instances = json.loads(out.read_text())["instances"]
+    assert instances == [{"id": "diff", "rmse": pytest.approx(0.5 ** 0.5), "error_rate": 12.5},
+                         {"id": "bad", "malformed": "no_table_found"}]

@@ -77,6 +77,14 @@ def test_read_dataset_rejects_meta_that_is_not_an_object(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("meta", ["null", "false", "0", "[]", '""'])
+def test_read_dataset_rejects_a_meta_that_is_empty_but_not_an_object(tmp_path, meta):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"id": "a", "commentary": "x", "table": null, "meta": %s}\n' % meta)
+    with pytest.raises(DatasetError, match="bad record at line 1 .*AttributeError"):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize(
     "line, problem",
     [
@@ -84,6 +92,7 @@ def test_read_dataset_rejects_meta_that_is_not_an_object(tmp_path):
         (b'{"text": "x"}', "record without an id"),
         (b'{"id": "b"}', "KeyError: 'text'"),
         (b'{"id": "b", "text": "x", "qa": 5}', "bad record .*TypeError"),
+        (b'{"id": "b", "text": "x", "qq": [{"question": "q", "answer": "1"}]}', "unknown document key 'qq'"),
         (b'{"id": "b", "text": "\xff"}', "not UTF-8"),
         (b'{"id": "b", "text": 5}', "TypeError: text must be a string"),
         (b'{"id": "b", "text": "x", "qa": ["x"]}', "TypeError: qa must be a list of objects"),
@@ -102,6 +111,14 @@ def test_errors_name_the_line_after_a_blank_one(tmp_path, line, problem):
     with pytest.raises(DatasetError, match=problem) as caught:
         load_documents(path)
     assert "at line 3 of" in str(caught.value)
+
+
+def test_read_dataset_rejects_a_misspelled_meta_key(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"id": "a", "commentary": "x", "table": null, "meta": {"seed": "1"}}\n'
+                    '{"id": "b", "commentary": "x", "table": null, "mta": {"seed": "1"}}\n')
+    with pytest.raises(DatasetError, match="^unknown dataset key 'mta' at line 2 of "):
+        read_dataset(path)
 
 
 # --- the encoder rule ----------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Hostile files: a transcript and the cache entries the oracle loop wrote, each mutated one way.
+"""Hostile files: a transcript and the cache entries the oracle loop wrote, a dataset and Auto-QA documents,
+each mutated one way.
 
-A transcript either fails to read with a DatasetError that names the line, or reads back as exactly the JSON
-its lines hold; a cache entry either misses or gives a response whose fields keep their rules.
+A transcript, a dataset or a documents file either fails to read with a DatasetError that names the line, or
+reads back as exactly the JSON its lines hold; a cache entry either misses or gives a response whose fields
+keep their rules.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import operator
 import re
 import tempfile
 from math import inf
@@ -17,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t3table import pipeline, prompts
+from t3table.autoqa import load_documents
 from t3table.backends import BackendError, CachingBackend, LlmRequest, OracleBackend
-from t3table.jsonl import DatasetError
+from t3table.jsonl import DatasetError, table_to_rows
 from t3table.pipeline import read_transcripts, run_batch, transcript_to_dict, write_transcripts
-from t3table.synth import GeneratorConfig, generate
+from t3table.synth import GeneratorConfig, generate, read_dataset, write_dataset
 
 _SPLICED = "@@spliced@@"
 _two_chars = st.text(min_size=2, max_size=2)
@@ -60,6 +65,10 @@ def _kind(path) -> str:
     return kind
 
 
+def _at(value, path):
+    return functools.reduce(operator.getitem, path, value)
+
+
 def _swap(value, path, new):
     if not path:
         return new
@@ -71,11 +80,11 @@ def _swap(value, path, new):
 
 
 def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
-    """``records`` joined by newlines (a transcript's lines, or a cache entry alone) with one mutation, and the
+    """``records`` joined by newlines (a file's lines, or a cache entry alone) with one mutation, and the
     offset of its first changed byte. A swap puts another value, or a huge number, in one place of one record,
-    which ``dumps`` then writes back."""
+    and a rename gives one key of one object in it another name; ``dumps`` then writes the record back."""
     data = b"\n".join(records)
-    how = draw(st.sampled_from(["truncate", "flip_a_byte", "swap"]))
+    how = draw(st.sampled_from(["truncate", "flip_a_byte", "swap", "rename"]))
     if how == "truncate":
         at = draw(st.integers(0, len(data) - 1))
         return data[:at], at
@@ -86,15 +95,36 @@ def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
     record = json.loads(records[i])
     by_kind: dict[str, list] = {}
     for path in _paths(record):
-        by_kind.setdefault(_kind(path), []).append(path)
+        if how == "swap" or isinstance(_at(record, path), dict) and _at(record, path):
+            by_kind.setdefault(_kind(path), []).append(path)
     # each kind of field as likely as any other, however many tuples a line holds
     path = draw(st.sampled_from(sorted(by_kind[draw(st.sampled_from(sorted(by_kind)))], key=repr)))
-    new = draw(_values)
-    text = dumps(_swap(record, path, _SPLICED if isinstance(new, tuple) else new))
-    if isinstance(new, tuple):
-        text = text.replace(json.dumps(_SPLICED), new[1])
+    if how == "rename":
+        keys = _at(record, path)
+        old = draw(st.sampled_from(sorted(keys)))
+        new_key = draw(st.text(min_size=1, max_size=2).map(old.__add__).filter(lambda key: key not in keys))
+        text = dumps(_swap(record, path, {new_key if key == old else key: v for key, v in keys.items()}))
+    else:
+        new = draw(_values)
+        text = dumps(_swap(record, path, _SPLICED if isinstance(new, tuple) else new))
+        if isinstance(new, tuple):
+            text = text.replace(json.dumps(_SPLICED), new[1])
     at = len(b"\n".join(records[:i]))
     return b"\n".join([*records[:i], text.encode(), *records[i + 1:]]), at
+
+
+def _read_mutated(path: Path, original: bytes, draw, read) -> tuple[list, list[dict]] | None:
+    """``read`` of ``path`` holding ``original`` with one mutation, and the JSON of each of its lines; None when
+    the read raised a DatasetError, which must name the mutated line or a later one."""
+    mutated, at = _mutated(original.split(b"\n"), draw, lambda record: json.dumps(record, ensure_ascii=False))
+    path.write_bytes(mutated)
+    try:
+        objects = read(path)
+    except DatasetError as exc:
+        named = re.search(rf"at line (\d+) of {re.escape(str(path))}", str(exc))
+        assert named and int(named[1]) >= mutated[:at].count(b"\n") + 1, str(exc)
+        return None
+    return objects, [json.loads(line) for line in mutated.split(b"\n") if line.strip()]
 
 
 @settings(deadline=None, max_examples=300)
@@ -105,16 +135,9 @@ def test_a_transcript_reads_back_as_its_json_or_names_the_bad_line(tmp_path_fact
     path.write_bytes(original)
     pipeline._TUPLE_BY_JSON.clear()
     read_transcripts(path)  # so the memo holds this run's tuple texts, as after a first read
-    mutated, at = _mutated(original.split(b"\n"), data.draw, lambda record: json.dumps(record, ensure_ascii=False))
-    path.write_bytes(mutated)
-    try:
-        transcripts = read_transcripts(path)
-    except DatasetError as exc:
-        named = re.search(rf"at line (\d+) of {re.escape(str(path))}", str(exc))
-        assert named and int(named[1]) >= mutated[:at].count(b"\n") + 1, str(exc)
-        return
-    lines = [line for line in mutated.split(b"\n") if line.strip()]
-    assert [transcript_to_dict(t) for t in transcripts] == [json.loads(line) for line in lines]
+    if read := _read_mutated(path, original, data.draw, read_transcripts):
+        transcripts, records = read
+        assert [transcript_to_dict(t) for t in transcripts] == records
 
 
 def _keeps_the_rules(response) -> bool:
@@ -142,3 +165,72 @@ def test_a_cache_entry_misses_or_gives_a_response_that_keeps_the_rules(tmp_path_
         assert "does not decode" in str(exc)
         return
     assert _keeps_the_rules(response), response
+
+
+@functools.cache
+def _dataset_file() -> bytes:
+    """A seed-3 dataset of 3 instances as gen writes it, the last with "table": null."""
+    instances = generate(GeneratorConfig(seed=3), 3)
+    instances[-1] = dataclasses.replace(instances[-1], ground_truth=None)
+    with tempfile.TemporaryDirectory() as root:
+        write_dataset(instances, Path(root, "d.jsonl"))
+        return Path(root, "d.jsonl").read_bytes()
+
+
+def _instance_json(inst) -> dict:
+    """The JSON line an instance read back stands for, once its fields are checked to be of their types."""
+    assert type(inst.id) is str and type(inst.commentary) is str
+    assert all(type(k) is str and type(v) is str for k, v in inst.meta.items())
+    table = None if inst.ground_truth is None else table_to_rows(inst.ground_truth)
+    assert table is None or all(type(n) is int and 0 <= n <= 2**53 for row in table for n in row)
+    return {"id": inst.id, "commentary": inst.commentary, "table": table, "meta": dict(inst.meta)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_dataset_reads_back_as_its_json_or_names_the_bad_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "d.jsonl"
+    if read := _read_mutated(path, _dataset_file(), data.draw, read_dataset):
+        instances, records = read
+        for record in records:  # ids and meta values read as their strings
+            record["id"] = str(record["id"])
+            if isinstance(record.get("meta"), dict):
+                record["meta"] = {k: str(v) for k, v in record["meta"].items()}
+        assert [_instance_json(inst) for inst in instances] == records
+
+
+_DOCUMENTS = b"".join(json.dumps(document).encode() + b"\n" for document in [
+    {"id": "a", "text": "Player3 scores.", "qa": [
+        {"question": "Who scored?", "answer": "Player3", "table_answer": "Player3", "prescreen_passed": True},
+        {"question": "How many fouls?", "answer": "0", "prescreen_passed": False},
+        {"question": "Which team?", "answer": "Home Team"}]},
+    {"id": "b", "text": "No goals.", "qa": []},
+    {"id": "c", "text": "Nothing happens."},
+])
+
+
+def _document_json(document) -> dict:
+    """The JSON line a document read back stands for, table answers aside, once its fields are checked."""
+    assert type(document.id) is str and type(document.text) is str
+    assert all(type(p.question) is str and type(p.reference_answer) is str and type(p.prescreen_passed) is bool
+               for p in document.qa)
+    assert all(type(answer) is str for answer in document.table_answers.values())
+    return {"id": document.id, "text": document.text, "qa": [
+        {"question": p.question, "answer": p.reference_answer, "prescreen_passed": p.prescreen_passed}
+        for p in document.qa]}
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_auto_qa_documents_read_back_as_their_json_or_name_the_bad_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "docs.jsonl"
+    if read := _read_mutated(path, _DOCUMENTS, data.draw, load_documents):
+        documents, records = read
+        for document, record in zip(documents, records):
+            record["id"] = str(record["id"])
+            items = record.setdefault("qa", [])  # the optional keys left out read as their defaults
+            # the table answer of a question is the last one given for it
+            assert document.table_answers == {i["question"]: i["table_answer"] for i in items if "table_answer" in i}
+            record["qa"] = [{"question": i["question"], "answer": i["answer"],
+                             "prescreen_passed": i.get("prescreen_passed", True)} for i in items]
+        assert [_document_json(document) for document in documents] == records

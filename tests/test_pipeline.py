@@ -5,7 +5,6 @@ import functools
 import json
 import random
 import re
-import sys
 import threading
 
 import pytest
@@ -30,7 +29,6 @@ from t3table.pipeline import (
     replay_outcome,
     run_batch,
     run_instance,
-    subprocess_integrator,
     transcript_from_dict,
     transcript_to_dict,
     write_transcripts,
@@ -159,13 +157,6 @@ def test_malformed_response_ends_only_its_instance(tmp_path, bad):
     assert read_transcripts(path) == transcripts
 
 
-_ZERO_COUNTS_WITH_A_SUPERSCRIPT = (
-    "from t3table.model import SummaryTable\n"
-    "from t3table.prompts import render_count_tuples\n"
-    "print(render_count_tuples(SummaryTable.zero()).replace('0)', '\\u00b2)', 1))\n"
-)
-
-
 _HUGE_CELL_CSV = to_csv(SummaryTable.zero()).replace(",0", "," + "9" * 5000, 1)
 
 
@@ -174,13 +165,12 @@ def _with_junk_counts(template_id: str, text: str) -> str:
 
 
 # "\u00b2" passes str.isdigit but not int(); 5,000 digits are past int()'s digit limit
-@pytest.mark.parametrize("mode, answer, integrator, code", [
-    (prompts.ZERO_SHOT, lambda t, text: _HUGE_CELL_CSV, None, "bad_cell"),
-    (prompts.ZERO_SHOT, lambda t, text: "Here is the table:\n" + _HUGE_CELL_CSV, None, "bad_cell"),
-    (prompts.T3, lambda t, text: text, [sys.executable, "-c", _ZERO_COUNTS_WITH_A_SUPERSCRIPT], "backend_error"),
-    (prompts.T3_DIRECT, _with_junk_counts, None, None),
-], ids=["csv_cell_past_digit_limit", "tolerant_cell_past_digit_limit", "integrator_superscript", "t3d_superscript"])
-def test_junk_digits_end_only_as_an_outcome_that_replays(tmp_path, mode, answer, integrator, code):
+@pytest.mark.parametrize("mode, answer, code", [
+    (prompts.ZERO_SHOT, lambda t, text: _HUGE_CELL_CSV, "bad_cell"),
+    (prompts.ZERO_SHOT, lambda t, text: "Here is the table:\n" + _HUGE_CELL_CSV, "bad_cell"),
+    (prompts.T3_DIRECT, _with_junk_counts, None),
+], ids=["csv_cell_past_digit_limit", "tolerant_cell_past_digit_limit", "t3d_superscript"])
+def test_junk_digits_end_only_as_an_outcome_that_replays(tmp_path, mode, answer, code):
     oracle = OracleBackend()
 
     class Junk:
@@ -189,8 +179,7 @@ def test_junk_digits_end_only_as_an_outcome_that_replays(tmp_path, mode, answer,
             template_id = prompts.classify_prompt(request.last_text)[0]
             return dataclasses.replace(response, text=answer(template_id, response.text))
 
-    transcripts = run_batch(generate(GeneratorConfig(seed=3), 2), mode, Junk(),
-                            integrator=integrator and subprocess_integrator(integrator))
+    transcripts = run_batch(generate(GeneratorConfig(seed=3), 2), mode, Junk())
     assert [t.outcome.reason_code for t in transcripts] == [code, code]
     path = tmp_path / "t.jsonl"
     write_transcripts(transcripts, path)
