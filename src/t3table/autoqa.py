@@ -4,9 +4,9 @@ implementations (deterministic stubs and LLM-backed versions)."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .backends import Backend, LlmRequest
 from .evaluation import QaPair, exact_match_judge, substring_table_answerer
@@ -16,12 +16,15 @@ DEFAULT_QA_PAIRS = 20
 
 
 @dataclass(frozen=True)
+class ScriptedPair(QaPair):
+    table_answer: str | None = None  # the stub answerer's reply to this pair, given in place of a table lookup
+
+
+@dataclass(frozen=True)
 class QaDocument:
     id: str
     text: str
-    # scripted pairs for the stub path, and the table answers that override its answerer, by question
-    qa: tuple[QaPair, ...] = ()
-    table_answers: Mapping[str, str] = field(default_factory=dict)
+    qa: tuple[ScriptedPair, ...] = ()  # the stub path's pairs
 
 
 def _document(r: dict) -> QaDocument:
@@ -31,11 +34,12 @@ def _document(r: dict) -> QaDocument:
     for item in qa:
         known_keys(item, {"question", "answer", "table_answer", "prescreen_passed"}, "qa")
     pairs = tuple(
-        QaPair(string_field(item, "question"), string_field(item, "answer"), bool_field(item, "prescreen_passed", True))
+        ScriptedPair(string_field(item, "question"), string_field(item, "answer"),
+                     bool_field(item, "prescreen_passed", True),
+                     string_field(item, "table_answer") if "table_answer" in item else None)
         for item in qa
     )
-    table_answers = {item["question"]: string_field(item, "table_answer") for item in qa if "table_answer" in item}
-    return QaDocument(str(r["id"]), string_field(r, "text"), pairs, table_answers)
+    return QaDocument(str(r["id"]), string_field(r, "text"), pairs)
 
 
 def load_documents(path: str | Path) -> list[QaDocument]:
@@ -54,10 +58,8 @@ def stub_components(doc: QaDocument):
     def qa_gen(_doc_text: str) -> Sequence[QaPair]:
         return doc.qa
 
-    def answerer(table_render: str, pair: QaPair) -> str:
-        if pair.question in doc.table_answers:
-            return doc.table_answers[pair.question]
-        return substring_table_answerer(table_render, pair)
+    def answerer(table_render: str, pair: ScriptedPair) -> str:
+        return substring_table_answerer(table_render, pair) if pair.table_answer is None else pair.table_answer
 
     return qa_gen, answerer, exact_match_judge
 

@@ -348,8 +348,8 @@ def _load_transcript(data: bytes) -> object:
     value json.loads keeps; and pieces that are keys make an array of valid JSON for the memo's values.
     """
     text = data.decode("utf-8")
-    at = text.rfind('"tuples": [{')  # the writer's key, when there are tuples
-    end = text.find('}], "rejected_lines": ', at) if at >= 0 else -1
+    at = text.rfind('"tuples": [')  # the writer's key, near the tail; a line without tuples finds it too
+    end = text.find('}], "rejected_lines": ', at) if at >= 0 and text.startswith("{", at + 11) else -1
     cut = text.find("}, {", at, end) if end >= 0 else -1  # the first piece's end, when there are more
     if end >= 0 and text[at + 12 : cut if cut >= 0 else end] in _TUPLE_BY_JSON:  # a miss gives up before the split
         seen: list[str] = []  # the constants the line holds; the hook returns the list itself as a marker

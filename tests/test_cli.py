@@ -555,6 +555,19 @@ def test_autoqa_misspelled_qa_key_is_data_error(tmp_path, runner, key, exit_code
         assert json.loads(out.read_text())["documents"]["a"] == 1.0
 
 
+def test_autoqa_pairs_that_ask_one_question_keep_their_own_table_answers(tmp_path, runner):
+    docs, tables, out = tmp_path / "docs.jsonl", tmp_path / "tables.jsonl", tmp_path / "coverage.json"
+    qa = [{"question": "q?", "answer": "x", "table_answer": "x"},
+          {"question": "q?", "answer": "y", "table_answer": "wrong"}]
+    docs.write_text(json.dumps({"id": "d", "text": "document d", "qa": qa}) + "\n")
+    tables.write_text(json.dumps({"id": "d", "table": "x y"}) + "\n")
+    result = invoke(runner, ["autoqa", "--documents", str(docs), "--tables", str(tables),
+                             "--backend", "stub", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "d: coverage 0.500" in result.output  # the first pair answered right, the second wrong
+    assert json.loads(out.read_text())["documents"]["d"] == 0.5
+
+
 def test_misspelled_top_level_key_is_data_error(tmp_path, runner):
     data = tmp_path / "data.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])

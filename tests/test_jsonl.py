@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from t3table import prompts
+from t3table import pipeline, prompts
 from t3table.autoqa import load_documents, load_tables
 from t3table.backends import OracleBackend
-from t3table.jsonl import DatasetError, to_json
+from t3table.jsonl import _READ_BUFFER, DatasetError, load_json, read_jsonl, to_json
 from t3table.model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
-from t3table.pipeline import RunTranscript, StageRecord, _decode_tuple, _transcript_line, read_transcripts, run_batch
-from t3table.pipeline import transcript_to_dict, write_transcripts
+from t3table.pipeline import RunTranscript, StageRecord, _decode_tuple, _load_transcript, _transcript_line
+from t3table.pipeline import read_transcripts, run_batch, transcript_from_dict, transcript_to_dict, write_transcripts
 from t3table.synth import GeneratorConfig, generate, read_dataset, write_dataset
 from t3table.tableio import ParsedTableOutcome
 
@@ -152,18 +152,18 @@ def test_to_json_writes_what_json_dumps_writes(record):
     assert to_json(record, [*_strings(record), 5]) == json.dumps(record, ensure_ascii=False)
 
 
-def _transcripts():
-    pairs = st.lists(st.lists(_TEXT, min_size=2, max_size=2).map(tuple), max_size=3).map(tuple)
-    stages = st.builds(StageRecord, stage=st.integers(1, 3), kind=_TEXT, prompt=st.none() | pairs, response=_TEXT,
+def _transcripts(text=_TEXT, ids=_TEXT | _RECORDS):
+    pairs = st.lists(st.lists(text, min_size=2, max_size=2).map(tuple), max_size=3).map(tuple)
+    stages = st.builds(StageRecord, stage=st.integers(1, 3), kind=text, prompt=st.none() | pairs, response=text,
                        latency_s=st.floats(0, 10))
-    labels = st.sampled_from(list(RawEventLabel)) | st.builds(Unknown, _TEXT)
+    labels = st.sampled_from(list(RawEventLabel)) | st.builds(Unknown, text)
     tuples = st.builds(EventTuple, team=st.sampled_from(list(TeamSide)), label=labels,
                        player=st.none() | st.integers(1, 99).map("Player{}".format))
-    outcomes = st.builds(ParsedTableOutcome.malformed, _TEXT, _TEXT)
+    outcomes = st.builds(ParsedTableOutcome.malformed, text, text)
     outcomes |= st.just(ParsedTableOutcome.ok(SummaryTable.zero()))
-    return st.builds(RunTranscript, instance_id=_TEXT | _RECORDS, mode=_TEXT,
+    return st.builds(RunTranscript, instance_id=ids, mode=text,
                      stages=st.lists(stages, max_size=3).map(tuple), tuples=st.lists(tuples, max_size=3).map(tuple),
-                     rejected_lines=pairs, unknown_label_count=st.integers(0, 9), final_table_text=_TEXT,
+                     rejected_lines=pairs, unknown_label_count=st.integers(0, 9), final_table_text=text,
                      outcome=outcomes, total_latency_s=st.floats(0, 10))
 
 
@@ -185,3 +185,53 @@ def test_a_dataset_line_is_what_json_dumps_writes(tmp_path_factory, texts, meta)
         return
     record = {"id": texts[0], "commentary": texts[1], "table": None, "meta": meta}
     assert path.read_text("utf-8") == json.dumps(record, ensure_ascii=False) + "\n"
+
+
+# --- reading a line ------------------------------------------------------------------
+
+def test_long_lines_and_lines_across_buffer_edges_read_back_equal(tmp_path):
+    # lines a little shorter and longer than the read buffer start and end at many offsets of its edges
+    sizes = [17_000] * 9 + [_READ_BUFFER + k for k in range(-40, 40, 7)] + [1_000_000, 1, 17_000]
+    records = [{"id": str(i), "text": "é" * (n // 4) + "x" * (n - n // 2)} for i, n in enumerate(sizes)]
+    path = tmp_path / "long.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), "utf-8")
+    assert read_jsonl(path, dict) == records
+    with path.open("a") as f:
+        f.write('{"id": "x", "text": "unterminated\n')
+    with pytest.raises(DatasetError, match=f"invalid JSON at line {len(records) + 1} of "):
+        read_jsonl(path, dict)
+
+
+def test_lines_of_ascii_whitespace_are_skipped_and_a_non_ascii_space_is_not(tmp_path):
+    path = tmp_path / "tables.jsonl"
+    blank = [b"\n", b" \t\n", b"\r\n", b"\x0b\n", b"\x0c \r\n", b"\t"]  # the last one has no newline
+    lines = [b'{"id": "a", "table": "x"}\n', *blank[:3], b'{"id": "b", "table": "%s"}\n' % (b"y" * 300_000), *blank]
+    path.write_bytes(b"".join(lines))
+    assert load_tables(path) == {"a": "x", "b": "y" * 300_000}
+    for space in ("\u00a0", "\u2028"):  # not ASCII: a space to str.isspace, yet no JSON
+        path.write_bytes(b"".join(lines[:-1]) + space.encode() + b"\n")
+        with pytest.raises(DatasetError, match=f"^invalid JSON at line {len(lines)} of "):
+            load_tables(path)
+
+
+# texts that hold what the transcript reader searches for: its keys, the separator of two tuples, a space
+_KEY_TEXT = st.lists(st.sampled_from(['"tuples": [{', '"tuples": []', '}], "rejected_lines": ', "}, {", "\u00a0"])
+                     | st.text(max_size=3), max_size=4).map("".join)
+_KEY_IDS = _KEY_TEXT | st.sampled_from([{"tuples": [{"player": None}]}, {"tuples": []}, ["tuples", "}, {"]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcripts=st.lists(_transcripts(_KEY_TEXT, _KEY_IDS), min_size=1, max_size=4,
+                            unique_by=lambda t: str(t.instance_id)))
+def test_each_transcript_line_reads_as_plain_json_reads_it(tmp_path_factory, transcripts):
+    path = tmp_path_factory.mktemp("t") / "t.jsonl"
+    write_transcripts(transcripts, path)
+    pipeline._TUPLE_BY_JSON.clear()
+    assert read_transcripts(path) == transcripts  # which leaves every tuple text of the file in the memo
+    for line, transcript in zip(path.read_bytes().splitlines(), transcripts):
+        fast, plain = _load_transcript(line), load_json(line)
+        # the memo gives a line's tuples unless one of their texts holds the separator
+        split = any("}, {" in tp.label.text for tp in transcript.tuples)
+        assert (type(fast["tuples"]) is tuple) == (bool(transcript.tuples) and not split)
+        assert {**fast, "tuples": None} == {**plain, "tuples": None}
+        assert transcript_from_dict(fast) == transcript_from_dict(plain)

@@ -1,9 +1,9 @@
-"""Hostile files: a transcript and the cache entries the oracle loop wrote, a dataset and Auto-QA documents,
-each mutated one way.
+"""Hostile files: a transcript and the cache entries the oracle loop wrote, a dataset, Auto-QA documents and
+tables, and a backend config, each mutated one way.
 
-A transcript, a dataset or a documents file either fails to read with a DatasetError that names the line, or
-reads back as exactly the JSON its lines hold; a cache entry either misses or gives a response whose fields
-keep their rules.
+A transcript, a dataset, a documents or a tables file either fails to read with a DatasetError that names the
+line, or reads back as exactly the JSON its lines hold; a cache entry either misses or gives a response whose
+fields keep their rules; a backend config either is a usage error or gives settings that keep theirs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t3table import pipeline, prompts
-from t3table.autoqa import load_documents
+from t3table.autoqa import load_documents, load_tables
 from t3table.backends import BackendError, CachingBackend, LlmRequest, OracleBackend
+from t3table.config import parse_config_file
 from t3table.jsonl import DatasetError, table_to_rows
 from t3table.pipeline import read_transcripts, run_batch, transcript_to_dict, write_transcripts
 from t3table.synth import GeneratorConfig, generate, read_dataset, write_dataset
@@ -79,10 +80,11 @@ def _swap(value, path, new):
     return value
 
 
-def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
+def _mutated(records: list[bytes], draw, dumps, loads=json.loads) -> tuple[bytes, int]:
     """``records`` joined by newlines (a file's lines, or a cache entry alone) with one mutation, and the
     offset of its first changed byte. A swap puts another value, or a huge number, in one place of one record,
-    and a rename gives one key of one object in it another name; ``dumps`` then writes the record back."""
+    and a rename gives one key of one object in it another name; ``loads`` reads the record, ``dumps`` then
+    writes it back."""
     data = b"\n".join(records)
     how = draw(st.sampled_from(["truncate", "flip_a_byte", "swap", "rename"]))
     if how == "truncate":
@@ -92,7 +94,7 @@ def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
         at = draw(st.integers(0, len(data) - 1))
         return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:], at
     i = draw(st.integers(0, len([r for r in records if r]) - 1))
-    record = json.loads(records[i])
+    record = loads(records[i])
     by_kind: dict[str, list] = {}
     for path in _paths(record):
         if how == "swap" or isinstance(_at(record, path), dict) and _at(record, path):
@@ -107,8 +109,8 @@ def _mutated(records: list[bytes], draw, dumps) -> tuple[bytes, int]:
     else:
         new = draw(_values)
         text = dumps(_swap(record, path, _SPLICED if isinstance(new, tuple) else new))
-        if isinstance(new, tuple):
-            text = text.replace(json.dumps(_SPLICED), new[1])
+        if isinstance(new, tuple):  # the marker is quoted in JSON, bare in a config line
+            text = text.replace(json.dumps(_SPLICED), new[1]).replace(_SPLICED, new[1])
     at = len(b"\n".join(records[:i]))
     return b"\n".join([*records[:i], text.encode(), *records[i + 1:]]), at
 
@@ -203,21 +205,21 @@ _DOCUMENTS = b"".join(json.dumps(document).encode() + b"\n" for document in [
     {"id": "a", "text": "Player3 scores.", "qa": [
         {"question": "Who scored?", "answer": "Player3", "table_answer": "Player3", "prescreen_passed": True},
         {"question": "How many fouls?", "answer": "0", "prescreen_passed": False},
-        {"question": "Which team?", "answer": "Home Team"}]},
+        {"question": "Which team?", "answer": "Home Team"},
+        {"question": "Who scored?", "answer": "Player3", "table_answer": "Player7"}]},
     {"id": "b", "text": "No goals.", "qa": []},
     {"id": "c", "text": "Nothing happens."},
 ])
 
 
 def _document_json(document) -> dict:
-    """The JSON line a document read back stands for, table answers aside, once its fields are checked."""
+    """The JSON line a document read back stands for, once its fields are checked."""
     assert type(document.id) is str and type(document.text) is str
     assert all(type(p.question) is str and type(p.reference_answer) is str and type(p.prescreen_passed) is bool
-               for p in document.qa)
-    assert all(type(answer) is str for answer in document.table_answers.values())
+               and type(p.table_answer) in (str, type(None)) for p in document.qa)
     return {"id": document.id, "text": document.text, "qa": [
-        {"question": p.question, "answer": p.reference_answer, "prescreen_passed": p.prescreen_passed}
-        for p in document.qa]}
+        {"question": p.question, "answer": p.reference_answer, "prescreen_passed": p.prescreen_passed,
+         "table_answer": p.table_answer} for p in document.qa]}
 
 
 @settings(deadline=None, max_examples=300)
@@ -229,8 +231,60 @@ def test_auto_qa_documents_read_back_as_their_json_or_name_the_bad_line(tmp_path
         for document, record in zip(documents, records):
             record["id"] = str(record["id"])
             items = record.setdefault("qa", [])  # the optional keys left out read as their defaults
-            # the table answer of a question is the last one given for it
-            assert document.table_answers == {i["question"]: i["table_answer"] for i in items if "table_answer" in i}
+            # each pair keeps its own table answer, though another pair asks the same question
             record["qa"] = [{"question": i["question"], "answer": i["answer"],
-                             "prescreen_passed": i.get("prescreen_passed", True)} for i in items]
+                             "prescreen_passed": i.get("prescreen_passed", True),
+                             "table_answer": i.get("table_answer")} for i in items]
         assert [_document_json(document) for document in documents] == records
+
+
+_TABLES = b"".join(json.dumps(table, ensure_ascii=False).encode() + b"\n" for table in [
+    {"id": "a", "table": "Team,Goals,Shots\nHome Team,1,5\nAway Team,0,3"},
+    {"id": "b", "table": ""},
+    {"id": "c", "table": "Équipe"},
+])
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_auto_qa_tables_read_back_as_their_json_or_name_the_bad_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "tables.jsonl"
+    if read := _read_mutated(path, _TABLES, data.draw, load_tables):
+        tables, records = read
+        assert all(type(table) is str for table in tables.values())
+        assert tables == {str(record["id"]): record["table"] for record in records}
+
+
+_CONFIG = b"".join(b"%s = %s\n" % pair for pair in [
+    (b"endpoint", b"http://localhost:8000/v1"), (b"model", b"t3-offline"), (b"temperature", b"0.5"),
+    (b"parallelism", b"2"), (b"cache_dir", b"cache"), (b"retries", b"3"), (b"backoff_s", b"1.0"),
+    (b"timeout_s", b"120"),
+])
+
+
+def _config_text(record) -> str:
+    """A key = value line per key of ``record``, each value as str() writes it; anything else as itself."""
+    return "\n".join(f"{key} = {value}" for key, value in record.items()) if isinstance(record, dict) else str(record)
+
+
+def _keeps_the_config_rules(s) -> bool:
+    """The rules of backend settings, written out: texts or None, counts from 1, finite times from 0."""
+    floats = (s.temperature, s.backoff_s, s.timeout_s)
+    return (all(type(text) in (str, type(None)) for text in (s.endpoint, s.cache_dir)) and type(s.model) is str
+            and type(s.parallelism) is int and s.parallelism >= 1 and type(s.retries) is int and s.retries >= 1
+            and all(type(x) is float for x in floats)
+            and 0 <= s.temperature < inf and 0 <= s.backoff_s < inf and 0 < s.timeout_s < inf)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_backend_config_gives_settings_that_keep_the_rules_or_a_usage_error(tmp_path_factory, data):
+    mutated, _ = _mutated(_CONFIG.split(b"\n"), data.draw, _config_text,
+                          lambda line: dict([line.decode().split(" = ", 1)]))
+    path = tmp_path_factory.mktemp("mutated") / "backend.cfg"
+    path.write_bytes(mutated)
+    try:
+        backend_settings = parse_config_file(path)
+    except ValueError:  # the CLI's usage error, exit 2; no other exception may escape
+        return
+    assert _keeps_the_config_rules(backend_settings), backend_settings
