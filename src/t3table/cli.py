@@ -110,11 +110,10 @@ def _build_backend(kind: str, settings: BackendSettings):
         return StubBackend(zero_table_stub)
     if kind == "oracle":
         return OracleBackend()
-    if kind == "replay":
-        if not settings.cache_dir:
-            raise click.UsageError("replay backend needs a cache directory (config key 'cache_dir' or --cache-dir)")
-        return CachingBackend(settings.cache_dir, inner=None)
-    raise click.UsageError(f"unknown backend {kind!r}")
+    # replay: the commands' click.Choice admits no other kind
+    if not settings.cache_dir:
+        raise click.UsageError("replay backend needs a cache directory (config key 'cache_dir' or --cache-dir)")
+    return CachingBackend(settings.cache_dir, inner=None)
 
 
 @main.command()
@@ -190,16 +189,11 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
     click.echo(render_report_text(rep))
     if out is not None:
         payload = rep.to_json_dict()
-        instances = []
-        for t in transcripts:
-            if t.outcome.is_ok:
-                scores = evaluation.score_instance(t.outcome.table, truth[str(t.instance_id)])
-                instances.append(
-                    {"id": t.instance_id, "rmse": scores.rmse(), "error_rate": scores.error_rate()}
-                )
-            else:
-                instances.append({"id": t.instance_id, "malformed": t.outcome.reason_code})
-        payload["instances"] = instances
+        payload["instances"] = [
+            {"id": t.instance_id, "malformed": t.outcome.reason_code} if s is None
+            else {"id": t.instance_id, "rmse": s.rmse(), "error_rate": s.error_rate()}
+            for t, s in zip(transcripts, rep.scores)
+        ]
         Path(out).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
         click.echo(f"report written to {out}")
 

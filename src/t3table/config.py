@@ -6,6 +6,7 @@ built-in defaults; the API key always comes from the environment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from math import inf
 from pathlib import Path
@@ -46,10 +47,10 @@ _FIELD_TYPES = {f.name: str if f.default is None else type(f.default) for f in f
 
 
 def parse_config_file(path: str | Path) -> BackendSettings:
-    """Read key=value lines; # starts a comment; unknown keys are an error."""
+    """Read key=value lines; a # at a line's start or after whitespace starts a comment; unknown keys are an error."""
     values: dict[str, object] = {}
     for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # so a value may hold one: runs/cache#2
         if not line:
             continue
         if "=" not in line:

@@ -61,6 +61,7 @@ class EvalReport:
     groups: Mapping[str, GroupMetrics]
     n_instances: int
     n_filtered_malformed: int
+    scores: Sequence[CellScores | None]  # per pair, in input order; None for a malformed outcome
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,14 +83,8 @@ def report(
     With per_instance_average=True, group metrics are the unweighted mean of
     per-instance metrics instead of pooled over cells.
     """
-    scored: list[CellScores] = []
-    filtered = 0
-    for outcome, truth in pairs:
-        if not outcome.is_ok:
-            filtered += 1
-            continue
-        assert outcome.table is not None
-        scored.append(score_instance(outcome.table, truth))
+    per_pair = [None if outcome.table is None else score_instance(outcome.table, truth) for outcome, truth in pairs]
+    scored = [s for s in per_pair if s is not None]
 
     groups: dict[str, GroupMetrics] = {}
     for name, cells in _SELECTIONS:
@@ -106,7 +101,7 @@ def report(
             rmse = math.sqrt(total_sq / n_cells)
             er = 100.0 * mismatches / n_cells
         groups[name] = GroupMetrics(rmse=rmse, error_rate=er, n_cells=n_cells)
-    return EvalReport(groups=groups, n_instances=len(scored), n_filtered_malformed=filtered)
+    return EvalReport(groups, len(scored), len(per_pair) - len(scored), per_pair)
 
 
 def render_report_text(rep: EvalReport) -> str:

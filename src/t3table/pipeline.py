@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest
+from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend
 from .config import DEFAULT_MODEL
 from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
 from .jsonl import table_from_rows, table_to_rows, to_json, write_jsonl
@@ -220,25 +220,25 @@ def run_batch(
 
     if parallelism == 1 or len(dataset) <= 1:
         return [run_one(i) for i in range(len(dataset))]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(run_one, range(len(dataset))))
+    with ThreadPoolExecutor(max_workers=parallelism) as executor:  # not "pool": run_one reads the exemplar pool
+        return list(executor.map(run_one, range(len(dataset))))
+
+
+# Every prompt of a replay fills its template with this instance: each call is answered from the record
+_REPLAYED = MatchInstance(id="replay", commentary="recorded")
 
 
 def replay_outcome(transcript: RunTranscript) -> ParsedTableOutcome:
-    """Recompute the final outcome from the recorded raw responses.
+    """Re-run the transcript's mode, answering each llm call with the next recorded response.
 
-    When the stage that answers with the table (t2: the tuples it integrates)
-    never returned, the recorded outcome stands.
+    When the re-run asks for more responses than were recorded (a stage never
+    returned), the recorded outcome stands.
     """
-    mode = prompts.parse_mode(transcript.mode)
-    final_stage = 3 if mode.kind in (ModeKind.T3, ModeKind.T3_DIRECT) else 1
-    final = [s for s in transcript.stages if s.kind == "llm" and s.stage == final_stage]
-    if not final:
-        return transcript.outcome
-    response = final[-1].response
-    if mode.kind is ModeKind.T2:
-        return ParsedTableOutcome.ok(integrate(parse_tuples(response).tuples))
-    return parse_model_table(response)
+    responses = [s.response for s in transcript.stages if s.kind == "llm"]
+    recorded = iter(responses)
+    backend = StubBackend(lambda request: next(recorded))
+    replayed = run_instance(_REPLAYED, prompts.parse_mode(transcript.mode), backend)
+    return transcript.outcome if backend.calls > len(responses) else replayed.outcome
 
 
 # --- transcript files -----------------------------------------------------------

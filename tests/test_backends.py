@@ -346,6 +346,10 @@ def test_oracle_backend_refuses_the_t3_stage_2_prompt_by_its_template():
         OracleBackend().complete(LlmRequest(DEFAULT_MODEL, tuple(prompt)))
 
 
+def test_the_cli_stub_answers_a_prompt_it_does_not_know_with_nothing():
+    assert b.zero_table_stub(_request("not a pipeline prompt")) == ""
+
+
 # --- config files ------------------------------------------------------------------
 
 def test_parse_config_file(tmp_path):
@@ -366,6 +370,13 @@ def test_parse_config_file(tmp_path):
     assert settings.parallelism == 4
     assert settings.retries == 5
     assert settings.backoff_s == 0.5
+
+
+def test_a_hash_inside_a_value_is_part_of_it(tmp_path):
+    cfg = tmp_path / "backend.cfg"
+    cfg.write_text("cache_dir = runs/cache#2\nmodel = gpt#4\t# a comment after a tab\n  # an indented comment\n")
+    settings = parse_config_file(cfg)
+    assert (settings.cache_dir, settings.model) == ("runs/cache#2", "gpt#4")
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

@@ -647,3 +647,127 @@ def test_eval_out_lists_a_malformed_instance_by_its_reason(tmp_path, runner):
     instances = json.loads(out.read_text())["instances"]
     assert instances == [{"id": "diff", "rmse": pytest.approx(0.5 ** 0.5), "error_rate": 12.5},
                          {"id": "bad", "malformed": "no_table_found"}]
+
+
+# --- paths no other test runs: the http and LLM Auto-QA backends, t3d on the stub, write and data errors -----
+
+def test_run_http_builds_its_backend_from_the_config_file(tmp_path, runner, monkeypatch):
+    from t3table.backends import LlmRequest, OracleBackend
+
+    oracle, timeouts = OracleBackend(), []
+
+    def fake_post(url, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        body = kwargs["json"]
+        request = LlmRequest(body["model"], tuple((m["role"], m["content"]) for m in body["messages"]))
+        reply = requests.Response()
+        reply.status_code = 200
+        reply._content = json.dumps({"choices": [{"message": {"content": oracle.complete(request).text}}]}).encode()
+        return reply
+
+    monkeypatch.setattr("requests.post", fake_post)
+    data, config, out, cache = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "t.jsonl", tmp_path / "c"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\ntimeout_s = 7.5\ncache_dir = {cache}\n")
+    result = invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "http",
+                             "--config", str(config), "--out", str(out), "--quiet"])
+    assert result.exit_code == 0 and "wrote 2 transcripts" in result.output and "malformed: 0" in result.output
+    assert timeouts == [7.5] * 4  # two llm stages per instance
+    assert len(list(cache.glob("*.json"))) == 4  # the http backend's replies go through the cache
+
+
+@pytest.mark.parametrize("kind, message", [("http", "http backend needs an endpoint"),
+                                           ("replay", "replay backend needs a cache directory")])
+def test_a_backend_without_its_setting_is_usage_error(tmp_path, runner, kind, message):
+    data, config, out = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "1", "--seed", "1"])
+    config.write_text("timeout_s = 7.5\n")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", kind,
+                                  "--config", str(config), "--out", str(out), "--quiet"])
+    assert result.exit_code == 2 and message in result.output
+    assert not out.exists()
+
+
+def _qa_script(request) -> str:
+    """Scripted Auto-QA model: two pairs, of which the second fails its pre-screen; the table answers what it holds."""
+    prompt = request.last_text
+    if prompt.startswith("Read the passage"):
+        return "1. Q: Who scored? | A: Player3\n2) Q: How many corners? | A: 4\nno pair on this line"
+    if prompt.startswith("Answer the question using only the passage"):
+        return "Player3" if "Who scored?" in prompt else "five"
+    if prompt.startswith("Answer the question using only this table"):
+        return "Player3" if "Player3" in prompt else "UNKNOWN"
+    reference = prompt.split("Reference answer: ")[1].split("\n")[0]
+    candidate = prompt.split("Candidate answer: ")[1].split("\n")[0]
+    return "YES" if candidate == reference else "NO"
+
+
+def test_autoqa_replay_drives_the_llm_components_from_a_warm_cache(tmp_path, runner):
+    from t3table import evaluation
+    from t3table.autoqa import LlmQa
+    from t3table.backends import CachingBackend, StubBackend
+    from t3table.config import DEFAULT_MODEL
+
+    docs, tables, out, cache, config = (tmp_path / name for name in (
+        "docs.jsonl", "tables.jsonl", "coverage.json", "c", "backend.cfg"))
+    docs.write_text("".join(json.dumps({"id": i, "text": f"document {i}"}) + "\n" for i in "ab"))
+    table_of = {"a": "Player3 scored", "b": "nobody scored"}
+    tables.write_text("".join(json.dumps({"id": i, "table": t}) + "\n" for i, t in table_of.items()))
+    stub = StubBackend(_qa_script)
+    llm = LlmQa(CachingBackend(cache, stub), DEFAULT_MODEL)
+    for doc_id, table in table_of.items():
+        evaluation.autoqa_coverage(f"document {doc_id}", table, llm.qa_gen, llm.answerer, llm.judge)
+    calls = stub.calls
+    config.write_text(f"cache_dir = {cache}\n")
+    result = invoke(runner, ["autoqa", "--documents", str(docs), "--tables", str(tables), "--backend", "replay",
+                             "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert stub.calls == calls  # every answer came from the cache
+    assert json.loads(out.read_text())["documents"] == {"a": 1.0, "b": 0.0}
+
+
+def test_run_t3d_on_the_stub_answers_each_stage(tmp_path, runner):
+    from t3table import prompts
+    from t3table.model import SummaryTable
+    from t3table.tableio import to_csv
+
+    data, out = tmp_path / "data.jsonl", tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "1", "--seed", "3"])
+    result = invoke(runner, ["run", "--dataset", str(data), "--mode", "t3d", "--backend", "stub", "--out", str(out)])
+    assert result.exit_code == 0 and "malformed: 0" in result.output
+    assert "  1/1" in result.output  # progress, on standard error, without --quiet
+    (transcript,) = read_transcripts(out)
+    zero = SummaryTable.zero()
+    assert [s.response for s in transcript.stages] == ["", prompts.render_count_tuples(zero), to_csv(zero)]
+    assert transcript.outcome.table == zero
+
+
+def _under_a_file(tmp_path):
+    (tmp_path / "afile").write_text("")
+    return str(tmp_path / "afile" / "x.jsonl")
+
+
+@pytest.mark.parametrize("args, message", [
+    (lambda tmp_path, data: ["gen", "--out", _under_a_file(tmp_path), "--n", "1"], "cannot write"),
+    (lambda tmp_path, data: ["run", "--dataset", data, "--mode", "t3", "--out", _under_a_file(tmp_path), "--quiet"],
+     "cannot write"),
+    (lambda tmp_path, data: ["run", "--dataset", data, "--mode", "few-shot:1", "--backend", "stub",
+                             "--out", str(tmp_path / "t.jsonl"), "--quiet"], "no few-shot exemplar candidates"),
+], ids=["gen_out_under_a_file", "run_out_under_a_file", "few_shot_without_exemplars"])
+def test_what_cannot_be_written_or_run_is_data_error(tmp_path, runner, args, message):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1", "--mean", "red_cards=0"])
+    result = runner.invoke(main, args(tmp_path, str(data)))
+    assert result.exit_code == 3 and message in result.output
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_autoqa_curve_out_without_a_valid_pair_is_data_error(tmp_path, runner):
+    docs, tables, curve = tmp_path / "docs.jsonl", tmp_path / "tables.jsonl", tmp_path / "curve.csv"
+    docs.write_text(json.dumps({"id": "d", "text": "t", "qa": [{"question": "q?", "answer": "a",
+                                                                 "prescreen_passed": False}]}) + "\n")
+    tables.write_text(json.dumps({"id": "d", "table": "a"}) + "\n")
+    result = runner.invoke(main, ["autoqa", "--documents", str(docs), "--tables", str(tables),
+                                  "--out", str(tmp_path / "c.json"), "--curve-out", str(curve)])
+    assert result.exit_code == 3 and "no documents with valid QA pairs" in result.output
+    assert not curve.exists()

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import threading
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -490,6 +491,51 @@ def test_replay_keeps_outcome_when_final_stage_never_returned(tmp_path, syntheti
     for back in read_transcripts(path):
         assert replay_outcome(back) == back.outcome
         assert back.outcome.reason_code == "backend_error"
+
+
+_JUNK = {
+    "empty": "",
+    "prose": "Sorry, I cannot count these events.",
+    "bad_cell": to_csv(SummaryTable.zero()).replace(",0", ",x", 1),
+    "huge_cell": _HUGE_CELL_CSV,
+    "huge_count": prompts.render_count_tuples(SummaryTable.zero()).replace("0)", "9" * 5000 + ")", 1),
+}
+_TEMPLATES = ("extract", "zero_shot", "merged", "integrate_direct", "render_table")
+
+
+@functools.cache
+def _with_exemplars() -> list[MatchInstance]:
+    """Six seed-3 instances that hold both exemplar candidates of the first 40 (positions 21 and 23)."""
+    return generate(GeneratorConfig(seed=3), 40)[20:26]
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(["zero-shot", "zero-shot-cot", "few-shot:1", "few-shot-cot:1", "t2", "t3", "t3m", "t3d"]),
+       template=st.sampled_from(_TEMPLATES), fault=st.sampled_from(["backend_error", "exception", *_JUNK]),
+       share=st.integers(1, 3))
+def test_a_fault_at_any_stage_ends_as_an_outcome_that_replays(tmp_path_factory, parallelism, mode, template, fault,
+                                                              share):
+    oracle = OracleBackend()
+
+    def script(request: LlmRequest) -> str:
+        # the fault hits 1, 2 or 3 thirds of the drawn template's prompts, chosen by their text
+        in_share = zlib.crc32(request.last_text.encode()) % 3 < share
+        if in_share and prompts.classify_prompt(request.last_text)[0] == template:
+            if fault == "backend_error":
+                raise BackendError("scripted outage")
+            if fault == "exception":
+                raise ZeroDivisionError("scripted fault")
+            return _JUNK[fault]
+        return oracle.complete(request).text
+
+    dataset = _with_exemplars()
+    transcripts = run_batch(dataset, prompts.parse_mode(mode), StubBackend(script), parallelism=parallelism)
+    assert [t.instance_id for t in transcripts] == [inst.id for inst in dataset]
+    path = tmp_path_factory.mktemp("replay") / "t.jsonl"
+    write_transcripts(transcripts, path)
+    for t in (*transcripts, *read_transcripts(path)):
+        assert replay_outcome(t) == t.outcome
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,26 @@ def test_long_poisson_runs_equal_numpys(lam):
     assert [ours.poisson(lam) for _ in range(3000)] == theirs.poisson(lam, 3000).tolist()
 
 
+class _Counting(Rng):
+    """An Rng that counts its 32-bit draws."""
+
+    def __init__(self, entropy):
+        super().__init__(entropy)
+        self.draws = 0
+
+    def _next32(self):
+        self.draws += 1
+        return super()._next32()
+
+
+def test_a_range_that_rejects_often_still_equals_numpys():
+    # over 2**31 + 1 values Lemire's method rejects about half its first draws, and draws again
+    ours, theirs = _Counting([7, 0]), np.random.default_rng([7, 0])
+    assert [ours.integers(2**31 + 1) for _ in range(1000)] == theirs.integers(2**31 + 1, size=1000).tolist()
+    assert ours.draws > 1500  # about 2,000: one in two draws is rejected
+    assert ours.random() == theirs.random()  # both consumed the same words
+
+
 @pytest.mark.parametrize("call", [
     lambda: Rng([-1, 0]),
     lambda: Rng([0, 0]).integers(0),

@@ -48,6 +48,19 @@ def test_templates_have_no_internal_sentence_breaks():
         assert not re.search(r"[.!?].", entry.text), entry.id
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{nosuch} fouls.", "template t uses undefined slot 'nosuch'"),
+    ("{player} fouls {player}.", "template t uses a named slot twice"),
+    ("{player} fouls. Again", "template t has internal sentence punctuation"),
+    ("{player}.", "template t has no literal word to index it by"),
+], ids=["undefined_slot", "named_slot_twice", "internal_punctuation", "no_literal_word"])
+def test_a_bad_template_is_a_value_error_naming_it(text, message):
+    raw = {"version": "t", "slots": {}, "events": {"foul": [{"id": "t", "text": text}]}, "combos": {},
+           "fillers": [], "boilerplate": {}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth.TemplateBank(raw)
+
+
 def test_each_render_matches_exactly_one_pattern():
     # a render of every template, over every flavor-slot choice, must be
     # claimed by that template only
