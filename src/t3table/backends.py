@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -48,13 +48,9 @@ class LlmRequest:
         return {"messages": [[role, text] for role, text in self.messages], "model": self.model,
                 "temperature": self.temperature}
 
-    @cached_property
-    def canonical_json(self) -> str:
-        return _CANONICAL.encode(self.as_dict())
-
     @property
     def cache_key(self) -> str:
-        return hashlib.sha256(self.canonical_json.encode("utf-8")).hexdigest()
+        return hashlib.sha256(_CANONICAL.encode(self.as_dict()).encode("utf-8")).hexdigest()
 
     @property
     def last_text(self) -> str:
@@ -98,13 +94,7 @@ class StubBackend:
 class OracleBackend:
     """Answers pipeline prompts with the rule-based extractor and integrator."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.calls = 0
-
     def complete(self, request: LlmRequest) -> LlmResponse:
-        with self._lock:
-            self.calls += 1
         classified = prompts.classify_prompt(request.last_text)
         if classified is None:
             raise BackendError("oracle backend got a prompt it does not recognize")
@@ -140,8 +130,6 @@ class HttpBackend:
         backoff_s: float = 1.0,
         timeout_s: float = 120.0,
     ) -> None:
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
         self.endpoint = endpoint
         self.retries = retries
         self.backoff_s = backoff_s
@@ -202,15 +190,17 @@ class CachingBackend:
         self.misses = 0
 
     @staticmethod
-    def _read(path: str) -> LlmResponse | None:
-        """The response a cache entry holds; None if it is missing or does not decode."""
+    def _read(path: str, request: LlmRequest) -> LlmResponse | None:
+        """The response a cache entry for ``request`` holds; None if it is missing, does not decode, or was
+        written for another request (a renamed or copied file)."""
         try:
             fd = os.open(path, os.O_RDONLY)  # not a file object: a few-kB entry takes one os.read, and one at its end
             try:
                 chunks = list(iter(partial(os.read, fd, 1 << 16), b""))
             finally:
                 os.close(fd)
-            return LlmResponse(**load_json(b"".join(chunks))["response"])
+            entry = load_json(b"".join(chunks))
+            return LlmResponse(**entry["response"]) if entry["request"] == request.as_dict() else None
         except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):
             return None
         except IsADirectoryError as exc:  # raised by os.read, which does not name the file as open() did
@@ -219,17 +209,17 @@ class CachingBackend:
     def complete(self, request: LlmRequest) -> LlmResponse:
         key = request.cache_key
         path = os.path.join(self._dir, key + ".json")
-        response = self._read(path)
+        response = self._read(path, request)
         if response is not None:
             with self._lock:
                 self.hits += 1
             return response
-        # a missing entry and one that does not decode are both misses
+        # a missing entry, one that does not decode and one for another request are all misses
         with self._lock:
             self.misses += 1
         if self.inner is None:
             if os.path.exists(path):
-                raise BackendError(f"replay cache entry {path} does not decode")
+                raise BackendError(f"replay cache entry {path} does not decode, or holds another request")
             raise BackendError(f"replay cache miss for request {key}")
         response = self.inner.complete(request)
         record = {"request": request.as_dict(), "response": asdict(response)}

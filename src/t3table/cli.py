@@ -220,6 +220,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
     llm: LlmQa | None = None
     if backend_kind != "stub":
         backend = _build_backend(backend_kind, settings)
+        if backend_kind == "http" and settings.cache_dir:  # so a later --backend replay can read its replies
+            backend = CachingBackend(settings.cache_dir, backend)
         llm = LlmQa(backend, settings.model, settings.temperature, n_pairs=n_pairs)
 
     results: dict[str, float | None] = {}

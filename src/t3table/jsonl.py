@@ -144,10 +144,3 @@ def write_jsonl(lines: Iterable[str], path: str | Path) -> None:
 def table_to_rows(table: SummaryTable) -> list[list[int]]:
     """A table as JSON: the home row, then the away row."""
     return [list(table.row(team)) for team in TEAM_ORDER]
-
-
-def table_from_rows(rows: object) -> SummaryTable:
-    """Inverse of table_to_rows; anything but two lists of eight raises DatasetError."""
-    if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 8 for r in rows)):
-        raise DatasetError("bad table shape")
-    return SummaryTable.from_rows(*rows)

@@ -25,8 +25,8 @@ from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend
 from .config import DEFAULT_MODEL
 from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
-from .jsonl import table_from_rows, table_to_rows, to_json, write_jsonl
-from .model import EventTuple, MatchInstance, RawEventLabel, TeamSide, Unknown
+from .jsonl import table_to_rows, to_json, write_jsonl
+from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
 from .tuples import TupleParseReport, integrate, parse_tuples
@@ -162,11 +162,10 @@ class ExemplarPool:
 
 
 def pick_exemplars(pool: ExemplarPool, instance: MatchInstance, shots: int, seed: int) -> list[int]:
-    """Positions in ``pool.members`` of a seeded choice of up to ``shots`` exemplars without the instance's id."""
+    """Positions in ``pool.members`` of a seeded choice of up to ``shots`` exemplars without the instance's id;
+    none when every member has that id."""
     skipped = pool.positions.get(instance.id, [])
     n = len(pool.members) - len(skipped)
-    if not n:
-        raise ValueError("no few-shot exemplar candidates: need instances where all events occur")
     # sampling range(n) draws the indices that sampling those n candidates, in pool order, draws
     picks = random.Random(f"{seed}:{instance.id}").sample(range(n), k=min(shots, n))
     for position in skipped:  # ascending: candidate j is the member at j plus the skipped positions up to it
@@ -186,7 +185,8 @@ def run_batch(
     seed: int = 0,
     on_progress: Callable[[int, int], None] | None = None,
 ) -> list[RunTranscript]:
-    """Run the whole dataset; transcripts come back in dataset order."""
+    """Run the whole dataset; transcripts come back in dataset order. A few-shot mode over a dataset with no
+    exemplar candidate is a ValueError, raised before any backend call."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if cache_dir is not None:
@@ -195,6 +195,8 @@ def run_batch(
     done = 0
     if mode.kind is ModeKind.FEW_SHOT:  # each candidate is filtered and rendered once, not once per pick
         pool = ExemplarPool(dataset)
+        if not pool.members:
+            raise ValueError("no few-shot exemplar candidates: need instances where all events occur")
         # render_examples_block joins one block per exemplar with a blank line, as run_one does
         blocks = [prompts.render_examples_block([d], mode.with_cot) for d in pool.members]
 
@@ -204,14 +206,13 @@ def run_batch(
         examples_block = None
         if mode.kind is ModeKind.FEW_SHOT:
             examples_block = "\n\n".join(blocks[i] for i in pick_exemplars(pool, instance, mode.shots, seed))
-        transcript = run_instance(
-            instance,
-            mode,
-            backend,
-            model=model,
-            temperature=temperature,
-            examples_block=examples_block,
-        )
+        if examples_block == "":  # every candidate has this instance's id: it alone fails, before any call
+            outcome = ParsedTableOutcome.malformed("no_exemplar", "no few-shot exemplar candidate but this instance")
+            transcript = RunTranscript(instance_id=instance.id, mode=mode.name, stages=(), outcome=outcome)
+        else:
+            transcript = run_instance(
+                instance, mode, backend, model=model, temperature=temperature, examples_block=examples_block
+            )
         if on_progress is not None:
             with progress_lock:
                 done += 1
@@ -316,16 +317,10 @@ def _transcript_line(t: RunTranscript) -> str:
     return "".join((head, '"tuples": [', ", ".join(map(_tuple_json, map(_FIELDS, t.tuples))), "]", tail))
 
 
-# Read once per distinct tuple: an Enum call like TeamSide(...) costs some twenty dict lookups
-_TEAM_BY_DISPLAY: dict[str, TeamSide] = {team.display: team for team in TeamSide}
-_LABEL_BY_TEXT: dict[str, RawEventLabel] = {label.text: label for label in RawEventLabel}
-
-
-# Exceptions are not cached: an unknown team or label stays a KeyError, a bad tag a ValueError.
+# Exceptions are not cached: an unknown team or label, or a bad tag, stays a ValueError.
 @lru_cache(maxsize=_TUPLES_KEPT)
 def _decode_tuple(team: str, event: str, known: bool, player: str | None) -> EventTuple:
-    label = _LABEL_BY_TEXT[event] if known else Unknown(event)
-    return EventTuple(team=_TEAM_BY_DISPLAY[team], label=label, player=player)
+    return EventTuple(team=TeamSide(team), label=RawEventLabel(event) if known else Unknown(event), player=player)
 
 
 def _tuples_from_dicts(records: list | tuple) -> tuple[EventTuple, ...]:
@@ -375,7 +370,7 @@ def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
 
 def transcript_from_dict(d: dict) -> RunTranscript:
     if "table" in d["outcome"]:
-        outcome = ParsedTableOutcome.ok(table_from_rows(d["outcome"]["table"]))
+        outcome = ParsedTableOutcome.ok(SummaryTable.from_rows(*d["outcome"]["table"]))
     else:
         m = d["outcome"]["malformed"]
         outcome = ParsedTableOutcome.malformed(string_field(m, "code"), string_field(m, "detail"))

@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_from_rows, table_to_rows, to_json
-from .jsonl import write_jsonl
+from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_jsonl
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -30,6 +29,7 @@ from .model import (
     EventType,
     MatchInstance,
     RawEventLabel,
+    SummaryTable,
     TeamSide,
     event_named,
 )
@@ -582,7 +582,7 @@ def _instance_from_record(record: dict) -> MatchInstance:
     return MatchInstance(
         id=str(record["id"]),
         commentary=string_field(record, "commentary"),
-        ground_truth=None if table is None else table_from_rows(table),
+        ground_truth=None if table is None else SummaryTable.from_rows(*table),
         meta={k: str(v) for k, v in record.get("meta", {}).items()},
     )
 

@@ -273,7 +273,7 @@ def test_entry_nested_too_deep_is_fetched_again_in_a_batch(tmp_path):
     dataset = generate(GeneratorConfig(seed=3), 3)
     run_batch(dataset, prompts.T3, OracleBackend(), cache_dir=tmp_path)
     name = _nest_stage_1_entry(tmp_path, dataset[1])
-    inner = OracleBackend()
+    inner = b.StubBackend(lambda request: OracleBackend().complete(request).text)  # counts the oracle's calls
     transcripts = run_batch(dataset, prompts.T3, inner, cache_dir=tmp_path)
     assert [t.outcome.reason_code for t in transcripts] == [None] * 3
     assert inner.calls == 1

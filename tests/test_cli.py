@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 from click.testing import CliRunner
 
+import t3table
 from t3table.cli import main
 from t3table.pipeline import read_transcripts
 from t3table.synth import read_dataset
@@ -113,6 +118,45 @@ def test_run_unknown_mode_lists_valid_modes(tmp_path, runner):
                                   "--out", str(tmp_path / "t.jsonl")])
     assert result.exit_code == 2
     assert "valid modes" in result.output
+
+
+def test_run_few_shot_of_no_exemplar_is_usage_error(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "1"])
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "few-shot:0",
+                                  "--out", str(tmp_path / "t.jsonl")])
+    assert result.exit_code == 2
+    assert "few-shot needs at least one exemplar" in result.output
+
+
+def test_a_config_that_cannot_be_read_is_data_error(tmp_path, runner, monkeypatch):
+    # a read the file's mode forbids, faked: chmod does not stop a process that runs as root
+    data, config = tmp_path / "data.jsonl", tmp_path / "backend.cfg"
+    invoke(runner, ["gen", "--out", str(data), "--n", "1"])
+    config.write_text("model = m\n")
+    read_text = Path.read_text
+
+    def unreadable(path, *args, **kwargs):
+        if path == config:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--config", str(config),
+                                  "--out", str(tmp_path / "t.jsonl")])
+    assert result.exit_code == 3
+    assert f"cannot read config: [Errno 13] Permission denied: '{config}'" in result.output
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(t3table.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "t3table.cli", "--help"], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Usage: python -m t3table.cli [OPTIONS] COMMAND [ARGS]...")
+    assert all(f"  {command} " in proc.stdout for command in ("autoqa", "eval", "gen", "inspect", "run"))
 
 
 def test_run_replay_over_warm_cache_issues_no_calls(tmp_path, runner):
@@ -726,6 +770,35 @@ def test_autoqa_replay_drives_the_llm_components_from_a_warm_cache(tmp_path, run
     assert json.loads(out.read_text())["documents"] == {"a": 1.0, "b": 0.0}
 
 
+def test_autoqa_over_http_fills_the_cache_that_replay_reads(tmp_path, runner, monkeypatch):
+    from t3table.backends import LlmRequest
+
+    posts = []
+
+    def fake_post(url, **kwargs):
+        body = kwargs["json"]
+        posts.append(LlmRequest(body["model"], tuple((m["role"], m["content"]) for m in body["messages"])))
+        reply = requests.Response()
+        reply.status_code = 200
+        reply._content = json.dumps({"choices": [{"message": {"content": _qa_script(posts[-1])}}]}).encode()
+        return reply
+
+    monkeypatch.setattr("requests.post", fake_post)
+    docs, tables, cache, config = (tmp_path / name for name in ("docs.jsonl", "tables.jsonl", "c", "backend.cfg"))
+    docs.write_text("".join(json.dumps({"id": i, "text": f"document {i}"}) + "\n" for i in "ab"))
+    tables.write_text("".join(json.dumps({"id": i, "table": t}) + "\n"
+                              for i, t in {"a": "Player3 scored", "b": "nobody scored"}.items()))
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\ncache_dir = {cache}\n")
+    for kind in ("http", "replay"):
+        out = tmp_path / f"{kind}.json"
+        result = invoke(runner, ["autoqa", "--documents", str(docs), "--tables", str(tables), "--backend", kind,
+                                 "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["documents"] == {"a": 1.0, "b": 0.0}
+        assert posts and sorted(p.name for p in cache.glob("*.json")) == sorted(f"{r.cache_key}.json" for r in posts)
+    assert len(posts) == len(set(posts))  # the replay posted nothing, and the http run asked each request once
+
+
 def test_run_t3d_on_the_stub_answers_each_stage(tmp_path, runner):
     from t3table import prompts
     from t3table.model import SummaryTable
@@ -740,6 +813,22 @@ def test_run_t3d_on_the_stub_answers_each_stage(tmp_path, runner):
     zero = SummaryTable.zero()
     assert [s.response for s in transcript.stages] == ["", prompts.render_count_tuples(zero), to_csv(zero)]
     assert transcript.outcome.table == zero
+
+
+def test_a_few_shot_instance_without_another_candidate_fails_alone(tmp_path, runner):
+    data, part = tmp_path / "data.jsonl", tmp_path / "part.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "40", "--seed", "3"])
+    # lines 21-23: of these, only the middle instance has every event, so it has no exemplar but itself
+    part.write_text("".join(data.read_text("utf-8").splitlines(keepends=True)[20:23]), "utf-8")
+    for parallelism in ("1", "8"):
+        result = invoke(runner, ["run", "--dataset", str(part), "--mode", "few-shot:1", "--parallelism", parallelism,
+                                 "--out", str(tmp_path / f"p{parallelism}.jsonl")])
+        assert result.exit_code == 0 and "wrote 3 transcripts" in result.output and "(malformed: 1)" in result.output
+        assert "  3/3" in result.output  # the instance that failed counts as done
+    assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p8.jsonl").read_bytes()
+    transcripts = read_transcripts(tmp_path / "p1.jsonl")
+    assert [t.outcome.reason_code for t in transcripts] == [None, "no_exemplar", None]
+    assert transcripts[1].stages == ()
 
 
 def _under_a_file(tmp_path):

@@ -42,7 +42,7 @@ def test_read_transcripts_rejects_unknown_team(tmp_path):
     record["tuples"][0]["team"] = "Visitors"
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.raises(DatasetError, match="bad record at line 2 .*KeyError: .Visitors."):
+    with pytest.raises(DatasetError, match="bad record at line 2 .*ValueError: 'Visitors' is not a valid TeamSide"):
         read_transcripts(path)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -188,3 +189,32 @@ def test_summary_table_indexing_total():
 def test_match_instance_requires_commentary():
     with pytest.raises(ValueError):
         MatchInstance(id="x", commentary="")
+
+
+class _Asset:
+    """An assets directory whose every file holds ``text``."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def joinpath(self, name: str) -> "_Asset":
+        return self
+
+    def read_text(self, encoding: str) -> str:
+        return self.text
+
+
+@pytest.mark.parametrize("synonyms, clash", [({"goal": ["strike", "Strike!"]}, None),
+                                             ({"goal": ["strike"], "shot": ["Strike!"]}, "Strike!")],
+                         ids=["same_label_twice", "two_labels"])
+def test_a_synonym_of_two_labels_is_a_value_error(monkeypatch, synonyms, clash):
+    from importlib import resources
+
+    from t3table import model
+
+    monkeypatch.setattr(resources, "files", lambda package: _Asset(json.dumps(synonyms)))
+    if clash is None:
+        assert set(model._load_synonyms().values()) == {RawEventLabel.GOAL}
+        return
+    with pytest.raises(ValueError, match=f"synonym {clash!r} maps to two labels"):
+        model._load_synonyms()

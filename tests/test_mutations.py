@@ -3,7 +3,8 @@ tables, and a backend config, each mutated one way.
 
 A transcript, a dataset, a documents or a tables file either fails to read with a DatasetError that names the
 line, or reads back as exactly the JSON its lines hold; a cache entry either misses or gives a response whose
-fields keep their rules; a backend config either is a usage error or gives settings that keep theirs.
+fields keep their rules, and another request's entry misses; a backend config either is a usage error or gives
+settings that keep theirs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import tempfile
 from math import inf
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,8 +160,12 @@ def test_a_cache_entry_misses_or_gives_a_response_that_keeps_the_rules(tmp_path_
     request = json.loads(entries[name])["request"]
     request = LlmRequest(request["model"], tuple(map(tuple, request["messages"])), request["temperature"])
     assert request.cache_key + ".json" == name
-    mutated, _ = _mutated([entries[name]], data.draw, lambda record: json.dumps(record, ensure_ascii=False, indent=1))
     cache = tmp_path_factory.mktemp("cache")
+    # two entries swapped: another request's entry, well-formed, under this request's name must miss
+    (cache / name).write_bytes(entries[data.draw(st.sampled_from(sorted(set(entries) - {name})))])
+    with pytest.raises(BackendError, match=re.escape(name)):
+        CachingBackend(cache, inner=None).complete(request)
+    mutated, _ = _mutated([entries[name]], data.draw, lambda record: json.dumps(record, ensure_ascii=False, indent=1))
     (cache / name).write_bytes(mutated)
     try:
         response = CachingBackend(cache, inner=None).complete(request)

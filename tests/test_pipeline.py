@@ -85,14 +85,14 @@ def test_t3_merged_issues_single_call(synthetic):
 
 
 def test_t3_direct_runs_three_llm_stages(synthetic):
-    backend = OracleBackend()
+    backend = StubBackend(lambda request: OracleBackend().complete(request).text)  # counts the oracle's calls
     t = run_instance(synthetic[0], prompts.T3_DIRECT, backend)
     assert backend.calls == 3
     assert t.outcome.table == synthetic[0].ground_truth
 
 
 def test_t2_stops_after_stage_one(synthetic):
-    backend = OracleBackend()
+    backend = StubBackend(lambda request: OracleBackend().complete(request).text)  # counts the oracle's calls
     t = run_instance(synthetic[0], prompts.T2, backend)
     assert backend.calls == 1
     assert t.outcome.is_ok and t.outcome.table == synthetic[0].ground_truth
@@ -646,15 +646,20 @@ _FEW_SHOT_INSTANCES = st.builds(
 @example(dataset=[MatchInstance("a", "x.", SummaryTable.from_rows([1] * 8, [0] * 8))], shots=1, with_cot=False, seed=0)
 def test_a_batch_picks_and_renders_exemplars_as_first_written(dataset, shots, with_cot, seed):
     mode = prompts.few_shot(shots, with_cot)
-    expected = []
-    try:
-        for inst in dataset:
-            block = prompts.render_examples_block(_picked_as_first_written(dataset, inst, shots, seed), with_cot)
-            expected.append(prompts.build_prompt(mode, 1, prompts.build_instruction(), inst.commentary, block))
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
+    if not any(map(pipeline._all_events_occur, dataset)):  # no candidate at all: the batch fails before any call
+        with pytest.raises(ValueError, match="no few-shot exemplar candidates"):
             run_batch(dataset, mode, StubBackend(""), seed=seed)
         return
+    expected, alone = [], []
+    for inst in dataset:
+        try:
+            block = prompts.render_examples_block(_picked_as_first_written(dataset, inst, shots, seed), with_cot)
+        except ValueError:  # no candidate but the instance itself: it alone fails, and sends nothing
+            alone.append(inst.id)
+            continue
+        expected.append(prompts.build_prompt(mode, 1, prompts.build_instruction(), inst.commentary, block))
     seen = []
-    run_batch(dataset, mode, StubBackend(lambda request: seen.append(list(request.messages)) or ""), seed=seed)
+    transcripts = run_batch(dataset, mode, StubBackend(lambda request: seen.append(list(request.messages)) or ""),
+                            seed=seed)
     assert seen == expected
+    assert [t.instance_id for t in transcripts if t.outcome.reason_code == "no_exemplar"] == alone

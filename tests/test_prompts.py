@@ -19,8 +19,9 @@ from t3table.prompts import (
     parse_count_tuples,
     parse_mode,
     render_count_tuples,
+    render_examples_block,
 )
-from t3table.model import SummaryTable
+from t3table.model import MatchInstance, SummaryTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,3 +143,16 @@ def test_parse_count_tuples_skips_a_group_whose_count_is_not_one(count):
 
 def test_parse_count_tuples_needs_all_cells():
     assert parse_count_tuples("(Home Team, goals, 1)") is None
+
+
+@pytest.mark.parametrize("bad", ["(Home Team, goals)", "(Home Team, goals, 7, 1)"], ids=["two_parts", "four_parts"])
+def test_parse_count_tuples_skips_a_group_of_other_than_three_parts(bad):
+    table = SummaryTable.from_rows([0, 5, 6, 1, 0, 5, 6, 6], [3, 12, 6, 0, 0, 3, 6, 2])
+    lines = render_count_tuples(table).split("\n")
+    assert parse_count_tuples("\n".join([bad] + lines[1:])) is None  # 15 cells left
+    assert parse_count_tuples("\n".join([bad] + lines)) == table
+
+
+def test_an_exemplar_without_ground_truth_is_a_value_error():
+    with pytest.raises(ValueError, match="exemplar x has no ground truth"):
+        render_examples_block([MatchInstance("x", "A goal.")], with_cot=False)

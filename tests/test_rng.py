@@ -100,3 +100,37 @@ def test_lam_max_is_numpys():
     rng.poisson(POISSON_LAM_MAX)
     with pytest.raises(ValueError):
         rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf))
+
+
+class _Huge:
+    """A sequence that says it holds 2**32 + 1 items and holds none."""
+
+    def __len__(self) -> int:
+        return 2**32 + 1
+
+
+def test_shuffle_of_more_than_2_32_items_is_a_value_error():
+    with pytest.raises(ValueError, match=r"cannot shuffle 4294967297 items, at most 2\*\*32"):
+        Rng([0, 0]).shuffle(_Huge())
+
+
+class _ZeroFirst(Rng):
+    """Rng whose first random() is 0.0, which numpy's default_rng almost never draws."""
+
+    def __init__(self, entropy) -> None:
+        super().__init__(entropy)
+        self.zero_given = False
+
+    def random(self) -> float:
+        if self.zero_given:
+            return super().random()
+        self.zero_given = True
+        return 0.0
+
+
+def test_ptrs_rejects_the_pair_whose_u_is_at_the_edge_as_c_does():
+    # u = 0.0 - 0.5 leaves us = 0, where C divides by zero to -inf and rejects the pair, v included
+    ours, plain = _ZeroFirst([5, 0]), Rng([5, 0])
+    plain.random()  # the v of the rejected pair
+    assert ours.poisson(30.0) == plain.poisson(30.0)
+    assert ours.random() == plain.random()  # both consumed the same words

@@ -418,7 +418,7 @@ def test_dataset_null_table(tmp_path):
 def test_dataset_bad_table_shape(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"id": "a", "commentary": "x", "table": [[0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0]]}\n')
-    with pytest.raises(DatasetError, match="bad table shape at line 1"):
+    with pytest.raises(DatasetError, match="bad record at line 1 .*ValueError: summary table must be 2x8"):
         read_dataset(path)
 
 
@@ -436,7 +436,8 @@ def test_dataset_fuzzed_table_shapes(tmp_path):
         if good:
             read_dataset(path)
         else:
-            with pytest.raises(DatasetError, match="bad table shape at line 1"):
+            # a row too many or too few is a TypeError of the call, a row of another length a ValueError
+            with pytest.raises(DatasetError, match=r"bad record at line 1 .*(from_rows\(\)|summary table must be 2x8)"):
                 read_dataset(path)
 
 
