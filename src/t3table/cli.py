@@ -7,7 +7,6 @@ exhaustion. Metric values never affect the exit code.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import click
 
@@ -16,7 +15,7 @@ from .autoqa import DEFAULT_QA_PAIRS, LlmQa, load_documents, load_tables, stub_c
 from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, zero_table_stub
 from .config import BackendSettings, parse_config_file
 from .evaluation import curve_to_csv, render_report_text, report
-from .jsonl import DatasetError
+from .jsonl import DatasetError, write_lines
 from .model import CELLS, EVENT_ORDER, EventType
 from .pipeline import read_transcripts, run_batch, write_transcripts
 from .synth import GeneratorConfig, generate_with_scripts, oracle_extract, read_dataset, write_dataset
@@ -32,12 +31,14 @@ class BackendExhausted(click.ClickException):
     exit_code = 4
 
 
-def _load(read, path: str):
-    """``read(path)``; a file that cannot be read or decoded is a data error."""
+def _file(failure: str, io, *args):
+    """``io(*args)``: a read or write of a command's file, or the making of a cache directory. Any OSError or
+    DatasetError it raises is a data error, "``failure``: <error>", where ``failure`` or the error names the
+    path. Every writer makes a missing directory."""
     try:
-        return read(path)
+        return io(*args)
     except (OSError, DatasetError) as exc:
-        raise DataError(f"cannot load inputs: {exc}")
+        raise DataError(f"{failure}: {exc}")
 
 
 @click.group()
@@ -67,10 +68,7 @@ def gen(out: str, n: int, seed: int, means: tuple[str, ...]) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc))
     pairs = generate_with_scripts(cfg, n)
-    try:
-        write_dataset((inst for inst, _ in pairs), out)
-    except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc}")
+    _file(f"cannot write {out}", write_dataset, (inst for inst, _ in pairs), out)
 
     counts: dict[EventType, int] = {e: 0 for e in EVENT_ORDER}
     for _, script in pairs:
@@ -97,23 +95,27 @@ def _load_settings(config_path: str | None) -> BackendSettings:
 
 
 def _build_backend(kind: str, settings: BackendSettings):
+    """The backend of ``kind``. Only http replies are cached (when ``cache_dir`` is set), and replay reads that
+    cache: a stub or oracle reply cached under the model's name would later be served as the model's answer."""
+    if kind == "stub":
+        return StubBackend(zero_table_stub)
+    if kind == "oracle":
+        return OracleBackend()
+    inner = None
     if kind == "http":
         if not settings.endpoint:
             raise click.UsageError("http backend needs an endpoint (config file key 'endpoint')")
-        return HttpBackend(
+        inner = HttpBackend(
             settings.endpoint,
             retries=settings.retries,
             backoff_s=settings.backoff_s,
             timeout_s=settings.timeout_s,
         )
-    if kind == "stub":
-        return StubBackend(zero_table_stub)
-    if kind == "oracle":
-        return OracleBackend()
-    # replay: the commands' click.Choice admits no other kind
-    if not settings.cache_dir:
+        if not settings.cache_dir:
+            return inner
+    elif not settings.cache_dir:  # replay: the commands' click.Choice admits no other kind
         raise click.UsageError("replay backend needs a cache directory (config key 'cache_dir' or --cache-dir)")
-    return CachingBackend(settings.cache_dir, inner=None)
+    return _file(f"cannot make cache directory {settings.cache_dir}", CachingBackend, settings.cache_dir, inner)
 
 
 @main.command()
@@ -136,7 +138,7 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
         raise click.UsageError(str(exc))
     settings = _load_settings(config_path).merged_with(parallelism=parallelism, cache_dir=cache_dir)
     backend = _build_backend(backend_kind, settings)
-    dataset = _load(read_dataset, dataset_path)
+    dataset = _file("cannot load inputs", read_dataset, dataset_path)
 
     def progress(done: int, total: int) -> None:
         if not quiet and (done % 25 == 0 or done == total):
@@ -150,16 +152,12 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
             parallelism=settings.parallelism,
             model=settings.model,
             temperature=settings.temperature,
-            cache_dir=settings.cache_dir if backend_kind == "http" else None,
             seed=seed,
             on_progress=progress,
         )
     except ValueError as exc:
         raise DataError(str(exc))
-    try:
-        write_transcripts(transcripts, out)
-    except OSError as exc:
-        raise DataError(f"cannot write {out}: {exc}")
+    _file(f"cannot write {out}", write_transcripts, transcripts, out)
     malformed = sum(1 for t in transcripts if not t.outcome.is_ok)
     click.echo(f"wrote {len(transcripts)} transcripts to {out} (malformed: {malformed})")
     if transcripts and all(t.outcome.reason_code == "backend_error" for t in transcripts):
@@ -174,8 +172,8 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
               help="Average per-instance metrics instead of pooling cells.")
 def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_instance_average: bool) -> None:
     """Score transcripts against dataset ground truth."""
-    transcripts = _load(read_transcripts, transcripts_path)
-    dataset = _load(read_dataset, dataset_path)
+    transcripts = _file("cannot load inputs", read_transcripts, transcripts_path)
+    dataset = _file("cannot load inputs", read_dataset, dataset_path)
     truth = {inst.id: inst.ground_truth for inst in dataset if inst.ground_truth is not None}
     missing = [str(t.instance_id) for t in transcripts if str(t.instance_id) not in truth]
     if missing:
@@ -194,7 +192,7 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
             else {"id": t.instance_id, "rmse": s.rmse(), "error_rate": s.error_rate()}
             for t, s in zip(transcripts, rep.scores)
         ]
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+        _file(f"cannot write {out}", write_lines, [json.dumps(payload, indent=2)], out)
         click.echo(f"report written to {out}")
 
 
@@ -210,8 +208,8 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
 def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path: str | None,
            out: str, curve_out: str | None, n_pairs: int) -> None:
     """Auto-QA coverage of generated tables against their source documents."""
-    documents = _load(load_documents, documents_path)
-    tables = _load(load_tables, tables_path)
+    documents = _file("cannot load inputs", load_documents, documents_path)
+    tables = _file("cannot load inputs", load_tables, tables_path)
     missing = [d.id for d in documents if d.id not in tables]
     if missing:
         raise DataError("documents without a table: " + ", ".join(sorted(missing)))
@@ -219,10 +217,7 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
     settings = _load_settings(config_path)
     llm: LlmQa | None = None
     if backend_kind != "stub":
-        backend = _build_backend(backend_kind, settings)
-        if backend_kind == "http" and settings.cache_dir:  # so a later --backend replay can read its replies
-            backend = CachingBackend(settings.cache_dir, backend)
-        llm = LlmQa(backend, settings.model, settings.temperature, n_pairs=n_pairs)
+        llm = LlmQa(_build_backend(backend_kind, settings), settings.model, settings.temperature, n_pairs=n_pairs)
 
     results: dict[str, float | None] = {}
     coverages: list[float] = []
@@ -247,11 +242,12 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
         "n_documents": len(documents),
         "n_excluded": sum(1 for v in results.values() if v is None),
     }
-    Path(out).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+    _file(f"cannot write {out}", write_lines, [json.dumps(payload, indent=2)], out)
     click.echo(f"coverage written to {out}")
     if coverages:
         curve_path = curve_out or f"{out}.curve.csv"
-        Path(curve_path).write_text(curve_to_csv(evaluation.coverage_curve(coverages)) + "\n", "utf-8")
+        curve = curve_to_csv(evaluation.coverage_curve(coverages))
+        _file(f"cannot write {curve_path}", write_lines, [curve], curve_path)
         click.echo(f"curve written to {curve_path}")
     elif curve_out is not None:
         raise DataError("no documents with valid QA pairs; cannot write curve")
@@ -263,8 +259,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
 @click.option("--id", "instance_id", required=True)
 def inspect(transcripts_path: str, dataset_path: str, instance_id: str) -> None:
     """Pretty-print one transcript with stage-by-stage diffs against ground truth."""
-    transcripts = {str(t.instance_id): t for t in _load(read_transcripts, transcripts_path)}
-    dataset = {inst.id: inst for inst in _load(read_dataset, dataset_path)}
+    transcripts = {str(t.instance_id): t for t in _file("cannot load inputs", read_transcripts, transcripts_path)}
+    dataset = {inst.id: inst for inst in _file("cannot load inputs", read_dataset, dataset_path)}
     if instance_id not in transcripts:
         raise DataError(f"no transcript for id {instance_id!r}")
     if instance_id not in dataset:

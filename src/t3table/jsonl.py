@@ -132,8 +132,9 @@ def to_json(record: object, texts: Iterable[str]) -> str:
     return (_ASCII_JSON if text.isascii() and "\x7f" not in text else _UNICODE_JSON)(record)
 
 
-def write_jsonl(lines: Iterable[str], path: str | Path) -> None:
-    """Each of ``lines``, a record's compact JSON from to_json, on a line of its own in UTF-8."""
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Each of ``lines`` (in a JSONL file, a record's compact JSON from to_json) and a newline, in UTF-8;
+    the file's directory is made if it is missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:

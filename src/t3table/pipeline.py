@@ -25,7 +25,7 @@ from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend
 from .config import DEFAULT_MODEL
 from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
-from .jsonl import table_to_rows, to_json, write_jsonl
+from .jsonl import table_to_rows, to_json, write_lines
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
 from .tableio import ParsedTableOutcome, parse_model_table
@@ -397,7 +397,7 @@ def transcript_from_dict(d: dict) -> RunTranscript:
 
 
 def write_transcripts(transcripts: Iterable[RunTranscript], path: str | Path) -> None:
-    write_jsonl(map(_transcript_line, transcripts), path)
+    write_lines(map(_transcript_line, transcripts), path)
 
 
 def read_transcripts(path: str | Path) -> list[RunTranscript]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_jsonl
+from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_lines
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -588,7 +588,7 @@ def _instance_from_record(record: dict) -> MatchInstance:
 
 
 def write_dataset(instances: Iterable[MatchInstance], path: str | Path) -> None:
-    write_jsonl((to_json(_instance_to_record(inst), (inst.id, inst.commentary, *inst.meta, *inst.meta.values()))
+    write_lines((to_json(_instance_to_record(inst), (inst.id, inst.commentary, *inst.meta, *inst.meta.values()))
                  for inst in instances), path)
 
 

@@ -720,6 +720,31 @@ def test_run_http_builds_its_backend_from_the_config_file(tmp_path, runner, monk
     assert len(list(cache.glob("*.json"))) == 4  # the http backend's replies go through the cache
 
 
+def test_run_http_without_a_cache_dir_posts_every_request_again(tmp_path, runner, monkeypatch):
+    from t3table.backends import LlmRequest, OracleBackend
+
+    oracle, posts = OracleBackend(), []
+
+    def fake_post(url, **kwargs):
+        body = kwargs["json"]
+        posts.append(LlmRequest(body["model"], tuple((m["role"], m["content"]) for m in body["messages"])))
+        reply = requests.Response()
+        reply.status_code = 200
+        reply._content = json.dumps({"choices": [{"message": {"content": oracle.complete(posts[-1]).text}}]}).encode()
+        return reply
+
+    monkeypatch.setattr("requests.post", fake_post)
+    data, config, out = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    config.write_text("endpoint = http://127.0.0.1:9/v1/chat/completions\n")
+    for _ in range(2):
+        result = invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "http",
+                                 "--config", str(config), "--out", str(out), "--quiet"])
+        assert result.exit_code == 0 and "malformed: 0" in result.output
+    assert len(posts) == 8 and len(set(posts)) == 4  # two llm stages per instance, asked again on the rerun
+    assert list(tmp_path.rglob("*.json")) == []  # no cache entry anywhere
+
+
 @pytest.mark.parametrize("kind, message", [("http", "http backend needs an endpoint"),
                                            ("replay", "replay backend needs a cache directory")])
 def test_a_backend_without_its_setting_is_usage_error(tmp_path, runner, kind, message):
@@ -836,19 +861,74 @@ def _under_a_file(tmp_path):
     return str(tmp_path / "afile" / "x.jsonl")
 
 
+def _oracle_transcripts(tmp_path, data):
+    out = tmp_path / "oracle.jsonl"
+    invoke(CliRunner(), ["run", "--dataset", data, "--mode", "t3", "--out", str(out), "--quiet"])
+    return ["--transcripts", str(out), "--dataset", data]
+
+
+def _autoqa_inputs(tmp_path):
+    docs, tables = _write_autoqa_fixtures(tmp_path)
+    return ["--documents", str(docs), "--tables", str(tables)]
+
+
 @pytest.mark.parametrize("args, message", [
     (lambda tmp_path, data: ["gen", "--out", _under_a_file(tmp_path), "--n", "1"], "cannot write"),
     (lambda tmp_path, data: ["run", "--dataset", data, "--mode", "t3", "--out", _under_a_file(tmp_path), "--quiet"],
      "cannot write"),
+    (lambda tmp_path, data: ["eval", *_oracle_transcripts(tmp_path, data), "--out", _under_a_file(tmp_path)],
+     "cannot write"),
+    (lambda tmp_path, data: ["autoqa", *_autoqa_inputs(tmp_path), "--out", _under_a_file(tmp_path)], "cannot write"),
+    (lambda tmp_path, data: ["autoqa", *_autoqa_inputs(tmp_path), "--out", str(tmp_path / "c.json"),
+                             "--curve-out", _under_a_file(tmp_path)], "cannot write"),
     (lambda tmp_path, data: ["run", "--dataset", data, "--mode", "few-shot:1", "--backend", "stub",
                              "--out", str(tmp_path / "t.jsonl"), "--quiet"], "no few-shot exemplar candidates"),
-], ids=["gen_out_under_a_file", "run_out_under_a_file", "few_shot_without_exemplars"])
+], ids=["gen_out_under_a_file", "run_out_under_a_file", "eval_out_under_a_file", "autoqa_out_under_a_file",
+        "autoqa_curve_out_under_a_file", "few_shot_without_exemplars"])
 def test_what_cannot_be_written_or_run_is_data_error(tmp_path, runner, args, message):
     data = tmp_path / "data.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1", "--mean", "red_cards=0"])
     result = runner.invoke(main, args(tmp_path, str(data)))
     assert result.exit_code == 3 and message in result.output
+    assert isinstance(result.exception, SystemExit)  # click's own exit, not an uncaught exception
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("kind", ["replay", "http"])
+def test_a_cache_dir_that_is_a_regular_file_is_data_error(tmp_path, runner, monkeypatch, kind):
+    posts = []
+    monkeypatch.setattr("requests.post", lambda url, **kwargs: posts.append(url))
+    data, config, cache, out = (tmp_path / name for name in ("data.jsonl", "backend.cfg", "cache", "t.jsonl"))
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    cache.write_text("")
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\ncache_dir = {cache}\n")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", kind,
+                                  "--config", str(config), "--out", str(out), "--quiet"])
+    assert result.exit_code == 3 and f"cannot make cache directory {cache}" in result.output
+    assert isinstance(result.exception, SystemExit)  # click's own exit, not an uncaught exception
+    assert posts == [] and not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    lambda tmp_path, data, out: ["eval", *_oracle_transcripts(tmp_path, data), "--out", out],
+    lambda tmp_path, data, out: ["autoqa", *_autoqa_inputs(tmp_path), "--out", out],
+], ids=["eval", "autoqa"])
+def test_an_output_in_a_missing_directory_is_written(tmp_path, runner, args):
+    data, out = tmp_path / "data.jsonl", tmp_path / "new" / "out.json"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    result = invoke(runner, args(tmp_path, str(data), str(out)))
+    assert result.exit_code == 0 and f"written to {out}\n" in result.output
+    assert json.loads(out.read_text("utf-8"))
+
+
+@pytest.mark.parametrize("kind", ["oracle", "stub"])
+def test_oracle_and_stub_replies_never_enter_a_cache(tmp_path, runner, kind):
+    data, cache = tmp_path / "data.jsonl", tmp_path / "cache"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    result = invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--backend", kind,
+                             "--cache-dir", str(cache), "--out", str(tmp_path / "t.jsonl"), "--quiet"])
+    assert result.exit_code == 0 and "wrote 2 transcripts" in result.output
+    assert list(cache.rglob("*")) == []  # a later http or replay run would serve these as the model's replies
 
 
 def test_autoqa_curve_out_without_a_valid_pair_is_data_error(tmp_path, runner):

@@ -663,3 +663,55 @@ def test_a_batch_picks_and_renders_exemplars_as_first_written(dataset, shots, wi
                             seed=seed)
     assert seen == expected
     assert [t.instance_id for t in transcripts if t.outcome.reason_code == "no_exemplar"] == alone
+
+
+@functools.cache
+def _seed3_dataset() -> list[MatchInstance]:
+    """`gen --n 40 --seed 3`: its only exemplar candidates are at positions 21 and 23."""
+    return generate(GeneratorConfig(seed=3), 40)
+
+
+def _slice(start, stop, without_truth=None):
+    """Instances ``start`` to ``stop`` of the seed-3 dataset; the one at ``without_truth`` loses its ground truth."""
+    shape = _seed3_dataset()[start:stop]
+    if without_truth is not None:
+        shape[without_truth] = dataclasses.replace(shape[without_truth], ground_truth=None)
+    return shape
+
+
+@st.composite
+def _dataset_shapes(draw) -> list[MatchInstance]:
+    """A slice of one to six instances of the seed-3 dataset, one of them perhaps without ground truth."""
+    start = draw(st.integers(0, 39))
+    stop = draw(st.integers(start + 1, min(40, start + 6)))
+    return _slice(start, stop, draw(st.none() | st.integers(0, stop - start - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dataset=_dataset_shapes())
+@example(dataset=_slice(0, 3))  # no exemplar candidate
+@example(dataset=_slice(20, 23))  # one candidate, which has no exemplar but itself
+@example(dataset=_slice(20, 26))  # two candidates
+@example(dataset=_slice(20, 26, without_truth=3))  # a candidate without ground truth is no candidate
+@example(dataset=_slice(21, 22))  # a one-instance dataset of a candidate
+@example(dataset=_slice(5, 6, without_truth=0))  # a one-instance dataset without ground truth
+def test_no_dataset_shape_sinks_a_batch(tmp_path_factory, dataset):
+    """Every mode at parallelism 1 and 8 writes one transcript per instance, the same bytes at both, or raises a
+    ValueError before its first backend call."""
+    out, oracle = tmp_path_factory.mktemp("shapes"), OracleBackend()
+    for mode in ("zero-shot", "zero-shot-cot", "few-shot:1", "few-shot:2", "few-shot-cot:1", "t2", "t3", "t3m",
+                 "t3d"):
+        written = []
+        for parallelism in (1, 8):
+            backend = StubBackend(lambda request: oracle.complete(request).text)  # counts the calls
+            try:
+                transcripts = run_batch(dataset, prompts.parse_mode(mode), backend, parallelism=parallelism)
+            except ValueError:
+                assert backend.calls == 0, mode
+                written.append(None)
+                continue
+            assert [t.instance_id for t in transcripts] == [inst.id for inst in dataset], mode
+            path = out / f"{mode}-{parallelism}.jsonl"
+            write_transcripts(transcripts, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1], mode
