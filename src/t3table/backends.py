@@ -15,6 +15,7 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -50,7 +51,7 @@ class LlmRequest:
 
     @property
     def cache_key(self) -> str:
-        return hashlib.sha256(_CANONICAL.encode(self.as_dict()).encode("utf-8")).hexdigest()
+        return _cache_key(self.as_dict())
 
     @property
     def last_text(self) -> str:
@@ -173,11 +174,49 @@ class HttpBackend:
         raise BackendError(f"backend failed after {self.retries} attempts: {last_error}")
 
 
+def _cache_key(request: dict) -> str:
+    return hashlib.sha256(_CANONICAL.encode(request).encode("utf-8")).hexdigest()
+
+
+# A miss returns as soon as the backend answers; this one thread writes its entry. Until an entry is on
+# disk, its request (as_dict) and response wait here by path, so the process answers it from memory.
+_writer = ThreadPoolExecutor(max_workers=1)
+_unwritten: dict[str, tuple[dict, LlmResponse]] = {}
+_failed_writes: list[OSError] = []
+_failed_lock = threading.Lock()
+
+
+def _write_entry(path: str, request: dict, response: LlmResponse) -> None:
+    tmp = f"{path.removesuffix('.json')}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        record = {"request": request, "response": asdict(response)}
+        Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
+        os.replace(tmp, path)
+    except Exception as exc:  # an OSError, or a request text that UTF-8 cannot write
+        with _failed_lock:
+            _failed_writes.append(OSError(f"{path}: {exc}"))
+    finally:
+        _unwritten.pop(path, None)
+
+
+def flush_cache_writes() -> None:
+    """Return once every cache entry queued before the call is on disk; raise, as an OSError naming its path,
+    the first that failed since the last call. The process's exit also waits for the writes, but keeps
+    their errors to itself."""
+    _writer.submit(lambda: None).result()  # the one writer runs its jobs in order
+    with _failed_lock:
+        failed = _failed_writes[:]
+        _failed_writes.clear()
+    if failed:
+        raise failed[0]
+
+
 class CachingBackend:
     """Per-response disk cache keyed by the request hash.
 
     With inner=None this is a pure replay backend: a cache miss is an error,
-    and no network is ever touched.
+    and no network is ever touched. A miss's entry is written off the request
+    path; flush_cache_writes() returns once it is on disk.
     """
 
     def __init__(self, cache_dir: str | Path, inner: Backend | None = None) -> None:
@@ -190,9 +229,9 @@ class CachingBackend:
         self.misses = 0
 
     @staticmethod
-    def _read(path: str, request: LlmRequest) -> LlmResponse | None:
-        """The response a cache entry for ``request`` holds; None if it is missing, does not decode, or was
-        written for another request (a renamed or copied file)."""
+    def _read(path: str, request: dict) -> LlmResponse | None:
+        """The response a cache entry for ``request`` (as_dict) holds; None if it is missing, does not decode,
+        or was written for another request (a renamed or copied file)."""
         try:
             fd = os.open(path, os.O_RDONLY)  # not a file object: a few-kB entry takes one os.read, and one at its end
             try:
@@ -200,16 +239,22 @@ class CachingBackend:
             finally:
                 os.close(fd)
             entry = load_json(b"".join(chunks))
-            return LlmResponse(**entry["response"]) if entry["request"] == request.as_dict() else None
+            return LlmResponse(**entry["response"]) if entry["request"] == request else None
         except (FileNotFoundError, ValueError, KeyError, TypeError, BackendError):
             return None
         except IsADirectoryError as exc:  # raised by os.read, which does not name the file as open() did
             raise IsADirectoryError(exc.errno, exc.strerror, path) from None
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        key = request.cache_key
+        asked = request.as_dict()
+        key = _cache_key(asked)
         path = os.path.join(self._dir, key + ".json")
-        response = self._read(path, request)
+        # looked up before the file: the writer takes an entry from memory only once it is on disk
+        unwritten = _unwritten.get(path)
+        if unwritten is None:
+            response = self._read(path, asked)
+        else:
+            response = unwritten[1] if unwritten[0] == asked else None
         if response is not None:
             with self._lock:
                 self.hits += 1
@@ -222,10 +267,8 @@ class CachingBackend:
                 raise BackendError(f"replay cache entry {path} does not decode, or holds another request")
             raise BackendError(f"replay cache miss for request {key}")
         response = self.inner.complete(request)
-        record = {"request": request.as_dict(), "response": asdict(response)}
-        tmp = os.path.join(self._dir, f"{key}.tmp-{os.getpid()}-{threading.get_ident()}")
-        Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
-        os.replace(tmp, path)
+        _unwritten[path] = (asked, response)
+        _writer.submit(_write_entry, path, asked, response)
         return response
 
 

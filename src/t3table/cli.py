@@ -12,7 +12,7 @@ import click
 
 from . import evaluation, prompts
 from .autoqa import DEFAULT_QA_PAIRS, LlmQa, load_documents, load_tables, stub_components
-from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, zero_table_stub
+from .backends import CachingBackend, HttpBackend, OracleBackend, StubBackend, flush_cache_writes, zero_table_stub
 from .config import BackendSettings, parse_config_file
 from .evaluation import curve_to_csv, render_report_text, report
 from .jsonl import DatasetError, write_lines
@@ -32,7 +32,7 @@ class BackendExhausted(click.ClickException):
 
 
 def _file(failure: str, io, *args):
-    """``io(*args)``: a read or write of a command's file, or the making of a cache directory. Any OSError or
+    """``io(*args)``: a read or write of a command's file, or the making or flushing of a cache. Any OSError or
     DatasetError it raises is a data error, "``failure``: <error>", where ``failure`` or the error names the
     path. Every writer makes a missing directory."""
     try:
@@ -160,6 +160,7 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
     _file(f"cannot write {out}", write_transcripts, transcripts, out)
     malformed = sum(1 for t in transcripts if not t.outcome.is_ok)
     click.echo(f"wrote {len(transcripts)} transcripts to {out} (malformed: {malformed})")
+    _file("cannot write cache entry", flush_cache_writes)
     if transcripts and all(t.outcome.reason_code == "backend_error" for t in transcripts):
         raise BackendExhausted("every instance failed with a backend error")
 
@@ -249,7 +250,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
         curve = curve_to_csv(evaluation.coverage_curve(coverages))
         _file(f"cannot write {curve_path}", write_lines, [curve], curve_path)
         click.echo(f"curve written to {curve_path}")
-    elif curve_out is not None:
+    _file("cannot write cache entry", flush_cache_writes)
+    if not coverages and curve_out is not None:
         raise DataError("no documents with valid QA pairs; cannot write curve")
 
 

@@ -49,7 +49,12 @@ _FIELD_TYPES = {f.name: str if f.default is None else type(f.default) for f in f
 def parse_config_file(path: str | Path) -> BackendSettings:
     """Read key=value lines; a # at a line's start or after whitespace starts a comment; unknown keys are an error."""
     values: dict[str, object] = {}
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    # a byte that is not UTF-8 reads as a lone surrogate, which the line's encode below rejects
+    for line_no, raw in enumerate(Path(path).read_text("utf-8", "surrogateescape").splitlines(), start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}:{line_no}: text that is not UTF-8") from None
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # so a value may hold one: runs/cache#2
         if not line:
             continue

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend
+from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend, flush_cache_writes
 from .config import DEFAULT_MODEL
 from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
 from .jsonl import table_to_rows, to_json, write_lines
@@ -186,7 +186,8 @@ def run_batch(
     on_progress: Callable[[int, int], None] | None = None,
 ) -> list[RunTranscript]:
     """Run the whole dataset; transcripts come back in dataset order. A few-shot mode over a dataset with no
-    exemplar candidate is a ValueError, raised before any backend call."""
+    exemplar candidate is a ValueError, raised before any backend call. With ``cache_dir``, every entry the
+    batch wrote is on disk when it returns or raises, and a failed write raises its OSError then."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if cache_dir is not None:
@@ -219,10 +220,14 @@ def run_batch(
                 on_progress(done, len(dataset))
         return transcript
 
-    if parallelism == 1 or len(dataset) <= 1:
-        return [run_one(i) for i in range(len(dataset))]
-    with ThreadPoolExecutor(max_workers=parallelism) as executor:  # not "pool": run_one reads the exemplar pool
-        return list(executor.map(run_one, range(len(dataset))))
+    try:
+        if parallelism == 1 or len(dataset) <= 1:
+            return [run_one(i) for i in range(len(dataset))]
+        with ThreadPoolExecutor(max_workers=parallelism) as executor:  # not "pool": run_one reads the exemplar pool
+            return list(executor.map(run_one, range(len(dataset))))
+    finally:
+        if cache_dir is not None:
+            flush_cache_writes()
 
 
 # Every prompt of a replay fills its template with this instance: each call is answered from the record

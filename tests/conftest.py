@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from t3table.model import SummaryTable
@@ -29,6 +31,21 @@ def case_table(name: str) -> SummaryTable:
 @pytest.fixture
 def example_truth() -> SummaryTable:
     return EXAMPLE_TRUTH
+
+
+@pytest.fixture
+def first_entry_write_fails(monkeypatch) -> list[str]:
+    """os.replace fails, as on a full disk, for the first cache entry it would put in place; the list gets its path."""
+    replace, failed = os.replace, []
+
+    def replace_but_once(src, dst):
+        if not failed and str(dst).endswith(".json"):
+            failed.append(dst)
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_but_once)
+    return failed
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

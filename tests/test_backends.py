@@ -4,13 +4,14 @@ import codecs
 import dataclasses
 import hashlib
 import json
+import threading
 
 import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t3table import backends as b, prompts
+from t3table import backends as b, pipeline, prompts
 from t3table.backends import BackendError, CachingBackend, HttpBackend, LlmRequest, OracleBackend
 from t3table.config import DEFAULT_MODEL, BackendSettings, parse_config_file
 from t3table.pipeline import run_batch, run_instance
@@ -205,6 +206,7 @@ def test_caching_backend_stores_request_and_response(tmp_path):
     backend = CachingBackend(tmp_path, Inner())
     request = _request("store me")
     first = backend.complete(request)
+    b.flush_cache_writes()
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
     record = json.loads(files[0].read_text())
@@ -246,6 +248,7 @@ def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     path = tmp_path / f"{request.cache_key}.json"
     path.write_bytes(entry)
     assert backend.complete(request).text == "fresh"
+    b.flush_cache_writes()
     assert inner.calls == 1 and backend.misses == 1 and backend.hits == 0
     assert json.loads(path.read_text("utf-8"))["response"]["text"] == "fresh"
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # overwritten, no temp file left
@@ -403,9 +406,128 @@ def test_settings_merge_precedence():
 def test_cache_entry_larger_than_one_read_still_hits(tmp_path):
     text = "é" * 100_000  # 200 kB as UTF-8: more than one os.read chunk
     CachingBackend(tmp_path, b.StubBackend(text)).complete(_request("big"))
+    b.flush_cache_writes()
     replay = CachingBackend(tmp_path, inner=None)
     assert replay.complete(_request("big")).text == text
     assert replay.hits == 1 and replay.misses == 0
+
+
+# --- the cache's writer: entries land off the request path ---------------------------------------------
+
+# Every entry of a seed-3 t3 oracle batch over 10 instances, as sha256 over each file's name, a NUL and its
+# bytes, in name order, at any parallelism: the entry format is fixed, so caches written before stay readable.
+BATCH_ENTRIES_SHA256 = "45dd2b6d5be03abadddfaec97f71483a89a4220a80642e5c62541aef760ced28"
+
+
+@pytest.fixture
+def held_writer(monkeypatch):
+    """An event that holds the cache's writer before each write until it is set; set and drained at the end."""
+    release = threading.Event()
+    write = b._write_entry
+
+    def held(*args):
+        release.wait(30)  # bounded: a write made on the request path would otherwise hang the test
+        write(*args)
+
+    monkeypatch.setattr(b, "_write_entry", held)
+    yield release
+    release.set()
+    b.flush_cache_writes()
+
+
+def test_a_miss_returns_before_its_entry_is_written_and_is_answered_from_memory(tmp_path, held_writer):
+    inner = b.StubBackend("early")
+    backend = CachingBackend(tmp_path, inner)
+    request = _request("ask once")
+    path = tmp_path / f"{request.cache_key}.json"
+    first = backend.complete(request)
+    assert not path.exists()
+    assert backend.complete(request) == first
+    assert (backend.hits, backend.misses) == (1, 1)
+    for fresh in (CachingBackend(tmp_path, inner), CachingBackend(tmp_path, inner=None)):  # the process's memory
+        assert fresh.complete(request) == first
+        assert (fresh.hits, fresh.misses) == (1, 0)
+    assert inner.calls == 1 and not path.exists()
+    held_writer.set()
+    b.flush_cache_writes()
+    assert json.loads(path.read_text("utf-8")) == {"request": request.as_dict(), "response": dataclasses.asdict(first)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_an_unwritten_entry_answers_only_its_own_request(tmp_path, monkeypatch):
+    request = _request("asked")
+    path = str(tmp_path / f"{request.cache_key}.json")
+    monkeypatch.setitem(b._unwritten, path, (_request("another").as_dict(), b.LlmResponse("not for this request")))
+    replay = CachingBackend(tmp_path, inner=None)
+    with pytest.raises(BackendError, match="replay cache miss"):
+        replay.complete(request)
+    assert (replay.hits, replay.misses) == (0, 1)
+
+
+def _release_on_flush(monkeypatch, release: threading.Event) -> None:
+    """Let a held writer go only when run_batch flushes: a batch that returns without flushing finds it held."""
+    flush = pipeline.flush_cache_writes
+
+    def release_and_flush():
+        release.set()
+        flush()
+
+    monkeypatch.setattr(pipeline, "flush_cache_writes", release_and_flush)
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_a_batch_returns_once_every_entry_is_on_disk(tmp_path, monkeypatch, held_writer, parallelism):
+    _release_on_flush(monkeypatch, held_writer)
+    run_batch(generate(GeneratorConfig(seed=3), 10), prompts.T3, OracleBackend(), parallelism, cache_dir=tmp_path)
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 20 and not [p.name for p in files if ".tmp-" in p.name]  # two llm stages an instance
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == BATCH_ENTRIES_SHA256
+
+
+def test_an_interrupted_batch_leaves_every_answered_entry_on_disk(tmp_path, monkeypatch, held_writer):
+    _release_on_flush(monkeypatch, held_writer)
+    oracle, answered = OracleBackend(), []
+
+    def answer(request):
+        answered.append(request)
+        return oracle.complete(request).text
+
+    def interrupt(done, total):
+        if done == 4:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(generate(GeneratorConfig(seed=3), 10), prompts.T3, b.StubBackend(answer), cache_dir=tmp_path,
+                  on_progress=interrupt)
+    assert len(answered) == 8
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{r.cache_key}.json" for r in answered)
+
+
+def test_a_failed_write_keeps_the_answer_and_is_raised_by_the_flush(tmp_path, first_entry_write_fails):
+    failed = first_entry_write_fails
+    inner = b.StubBackend("paid for")
+    backend = CachingBackend(tmp_path, inner)
+    assert backend.complete(_request("one")).text == "paid for"
+    backend.complete(_request("two"))
+    with pytest.raises(OSError, match="No space left on device") as raised:
+        b.flush_cache_writes()
+    assert str(raised.value).startswith(f"{failed[0]}: ")
+    b.flush_cache_writes()  # raised once
+    assert [p.name for p in tmp_path.glob("*.json")] == [f"{_request('two').cache_key}.json"]
+    assert backend.complete(_request("one")).text == "paid for" and inner.calls == 3  # not on disk: asked again
+    b.flush_cache_writes()
+
+
+def test_a_batch_whose_write_fails_raises_after_every_instance_ran(tmp_path, first_entry_write_fails):
+    progress = []
+    with pytest.raises(OSError, match="No space left on device"):
+        run_batch(generate(GeneratorConfig(seed=3), 3), prompts.T3, OracleBackend(), cache_dir=tmp_path,
+                  on_progress=lambda done, total: progress.append(done))
+    assert progress == [1, 2, 3] and len(first_entry_write_fails) == 1
+    assert len(list(tmp_path.glob("*.json"))) == 5
 
 
 @pytest.mark.parametrize("inner", [None, b.StubBackend("fresh")], ids=["replay", "with_inner"])

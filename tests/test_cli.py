@@ -215,6 +215,17 @@ def test_backend_setting_out_of_range_is_usage_error(tmp_path, runner, monkeypat
     assert not out.exists()
 
 
+def test_a_config_that_is_not_utf8_is_usage_error_naming_the_line(tmp_path, runner):
+    data, config, out = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "t.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "1", "--seed", "1"])
+    config.write_bytes(b"model = m\n# a comment\nmodel = \xff\n")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--config", str(config),
+                                  "--out", str(out), "--quiet"])
+    assert result.exit_code == 2
+    assert f"{config}:3: text that is not UTF-8" in result.output
+    assert not out.exists()
+
+
 def test_run_t3m_with_stub_records_single_call(tmp_path, runner):
     data = tmp_path / "data.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "1", "--seed", "3"])
@@ -822,6 +833,45 @@ def test_autoqa_over_http_fills_the_cache_that_replay_reads(tmp_path, runner, mo
         assert json.loads(out.read_text())["documents"] == {"a": 1.0, "b": 0.0}
         assert posts and sorted(p.name for p in cache.glob("*.json")) == sorted(f"{r.cache_key}.json" for r in posts)
     assert len(posts) == len(set(posts))  # the replay posted nothing, and the http run asked each request once
+
+
+@pytest.mark.parametrize("command", ["run", "autoqa"])
+def test_a_cache_entry_that_cannot_be_written_is_data_error_after_the_output(tmp_path, runner, monkeypatch, command,
+                                                                           first_entry_write_fails):
+    from t3table.backends import LlmRequest, OracleBackend
+
+    oracle, posts = OracleBackend(), []
+
+    def fake_post(url, **kwargs):
+        body = kwargs["json"]
+        posts.append(LlmRequest(body["model"], tuple((m["role"], m["content"]) for m in body["messages"])))
+        text = oracle.complete(posts[-1]).text if command == "run" else _qa_script(posts[-1])
+        reply = requests.Response()
+        reply.status_code = 200
+        reply._content = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        return reply
+
+    monkeypatch.setattr("requests.post", fake_post)
+    data, config, out, cache = tmp_path / "data.jsonl", tmp_path / "backend.cfg", tmp_path / "out", tmp_path / "c"
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\ncache_dir = {cache}\n")
+    if command == "run":
+        invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+        args = ["run", "--dataset", str(data), "--mode", "t3"]
+    else:
+        docs, tables = tmp_path / "docs.jsonl", tmp_path / "tables.jsonl"
+        docs.write_text("".join(json.dumps({"id": i, "text": f"document {i}"}) + "\n" for i in "ab"))
+        tables.write_text("".join(json.dumps({"id": i, "table": t}) + "\n"
+                                  for i, t in {"a": "Player3 scored", "b": "nobody scored"}.items()))
+        args = ["autoqa", "--documents", str(docs), "--tables", str(tables)]
+    result = runner.invoke(main, [*args, "--backend", "http", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    assert f"cannot write cache entry: {first_entry_write_fails[0]}: [Errno 28] No space left on device" in result.output
+    # the output is written first, and every answer kept, the unwritten one's too
+    if command == "run":
+        assert [t.outcome.reason_code for t in read_transcripts(out)] == [None, None]
+    else:
+        assert json.loads(out.read_text())["documents"] == {"a": 1.0, "b": 0.0}
+    assert len(list(cache.glob("*.json"))) == len(posts) - 1
 
 
 def test_run_t3d_on_the_stub_answers_each_stage(tmp_path, runner):
