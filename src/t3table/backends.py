@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import prompts
-from .jsonl import is_number, load_json
+from .jsonl import is_number, load_json, write_whole
 from .model import SummaryTable, is_count
 from .tableio import to_csv
 from .tuples import integrate, parse_tuples
@@ -182,33 +182,25 @@ def _cache_key(request: dict) -> str:
 # disk, its request (as_dict) and response wait here by path, so the process answers it from memory.
 _writer = ThreadPoolExecutor(max_workers=1)
 _unwritten: dict[str, tuple[dict, LlmResponse]] = {}
-_failed_writes: list[OSError] = []
-_failed_lock = threading.Lock()
+_failed_writes: dict[str, OSError] = {}  # by absolute cache directory: its first failed write since its flush
 
 
 def _write_entry(path: str, request: dict, response: LlmResponse) -> None:
-    tmp = f"{path.removesuffix('.json')}.tmp-{os.getpid()}-{threading.get_ident()}"
     try:
         record = {"request": request, "response": asdict(response)}
-        Path(tmp).write_text(json.dumps(record, ensure_ascii=False, indent=1), "utf-8")
-        os.replace(tmp, path)
+        write_whole(path, [json.dumps(record, ensure_ascii=False, indent=1)])
     except Exception as exc:  # an OSError, or a request text that UTF-8 cannot write
-        with _failed_lock:
-            _failed_writes.append(OSError(f"{path}: {exc}"))
+        _failed_writes.setdefault(os.path.dirname(os.path.abspath(path)), OSError(f"{path}: {exc}"))
     finally:
         _unwritten.pop(path, None)
 
 
-def flush_cache_writes() -> None:
-    """Return once every cache entry queued before the call is on disk; raise, as an OSError naming its path,
-    the first that failed since the last call. The process's exit also waits for the writes, but keeps
-    their errors to itself."""
+def flush_cache_writes(cache_dir: str | Path) -> None:
+    """Return once every entry queued before the call is on disk; raise, as an OSError naming its path, the first
+    in ``cache_dir`` that failed since that directory's last flush. The process's exit waits too, but keeps errors."""
     _writer.submit(lambda: None).result()  # the one writer runs its jobs in order
-    with _failed_lock:
-        failed = _failed_writes[:]
-        _failed_writes.clear()
-    if failed:
-        raise failed[0]
+    if failed := _failed_writes.pop(os.path.abspath(cache_dir), None):
+        raise failed
 
 
 class CachingBackend:
@@ -216,7 +208,7 @@ class CachingBackend:
 
     With inner=None this is a pure replay backend: a cache miss is an error,
     and no network is ever touched. A miss's entry is written off the request
-    path; flush_cache_writes() returns once it is on disk.
+    path; flush_cache_writes(cache_dir) returns once it is on disk.
     """
 
     def __init__(self, cache_dir: str | Path, inner: Backend | None = None) -> None:

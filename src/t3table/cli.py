@@ -32,12 +32,12 @@ class BackendExhausted(click.ClickException):
 
 
 def _file(failure: str, io, *args):
-    """``io(*args)``: a read or write of a command's file, or the making or flushing of a cache. Any OSError or
-    DatasetError it raises is a data error, "``failure``: <error>", where ``failure`` or the error names the
-    path. Every writer makes a missing directory."""
+    """``io(*args)``: a read or write of a command's file, or the making or flushing of a cache. Any OSError,
+    DatasetError or UnicodeError (a text UTF-8 cannot write) it raises is a data error, "``failure``: <error>",
+    where ``failure`` or the error names the path. Every writer makes a missing directory."""
     try:
         return io(*args)
-    except (OSError, DatasetError) as exc:
+    except (OSError, DatasetError, UnicodeError) as exc:
         raise DataError(f"{failure}: {exc}")
 
 
@@ -160,7 +160,8 @@ def run(dataset_path: str, mode_text: str, backend_kind: str, config_path: str |
     _file(f"cannot write {out}", write_transcripts, transcripts, out)
     malformed = sum(1 for t in transcripts if not t.outcome.is_ok)
     click.echo(f"wrote {len(transcripts)} transcripts to {out} (malformed: {malformed})")
-    _file("cannot write cache entry", flush_cache_writes)
+    if settings.cache_dir:
+        _file("cannot write cache entry", flush_cache_writes, settings.cache_dir)
     if transcripts and all(t.outcome.reason_code == "backend_error" for t in transcripts):
         raise BackendExhausted("every instance failed with a backend error")
 
@@ -186,6 +187,9 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
         per_instance_average=per_instance_average,
     )
     click.echo(render_report_text(rep))
+    ran = {str(t.instance_id) for t in transcripts}
+    without_transcript = [inst.id for inst in dataset if inst.id not in ran]
+    click.echo(f"dataset instances without a transcript: {len(without_transcript)}")
     if out is not None:
         payload = rep.to_json_dict()
         payload["instances"] = [
@@ -193,6 +197,7 @@ def eval_cmd(transcripts_path: str, dataset_path: str, out: str | None, per_inst
             else {"id": t.instance_id, "rmse": s.rmse(), "error_rate": s.error_rate()}
             for t, s in zip(transcripts, rep.scores)
         ]
+        payload["without_transcript"] = without_transcript
         _file(f"cannot write {out}", write_lines, [json.dumps(payload, indent=2)], out)
         click.echo(f"report written to {out}")
 
@@ -250,7 +255,8 @@ def autoqa(documents_path: str, tables_path: str, backend_kind: str, config_path
         curve = curve_to_csv(evaluation.coverage_curve(coverages))
         _file(f"cannot write {curve_path}", write_lines, [curve], curve_path)
         click.echo(f"curve written to {curve_path}")
-    _file("cannot write cache entry", flush_cache_writes)
+    if settings.cache_dir:
+        _file("cannot write cache entry", flush_cache_writes, settings.cache_dir)
     if not coverages and curve_out is not None:
         raise DataError("no documents with valid QA pairs; cannot write curve")
 

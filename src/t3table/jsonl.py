@@ -8,6 +8,8 @@ the line.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from math import inf
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, TypeVar
@@ -132,14 +134,24 @@ def to_json(record: object, texts: Iterable[str]) -> str:
     return (_ASCII_JSON if text.isascii() and "\x7f" not in text else _UNICODE_JSON)(record)
 
 
+def write_whole(path: str | Path, texts: Iterable[str]) -> None:
+    """``texts`` in UTF-8 to ``<name>.tmp-<pid>-<thread id>`` beside ``path``, renamed over it: the file lands whole
+    or not at all, and no temporary file stays. Makes the directory; replaces a symlink; refuses a non-regular file."""
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or /dev/stdout would take the write itself
+        raise OSError(f"not a regular file: {path}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(texts)
+        os.replace(tmp, path)
+    finally:  # after the rename there is nothing to remove
+        Path(tmp).unlink(missing_ok=True)
+
+
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
-    """Each of ``lines`` (in a JSONL file, a record's compact JSON from to_json) and a newline, in UTF-8;
-    the file's directory is made if it is missing."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
+    """Each of ``lines`` (in a JSONL file, a record's compact JSON from to_json) and a newline, by write_whole."""
+    write_whole(path, (line + "\n" for line in lines))
 
 
 def table_to_rows(table: SummaryTable) -> list[list[int]]:

@@ -227,7 +227,7 @@ def run_batch(
             return list(executor.map(run_one, range(len(dataset))))
     finally:
         if cache_dir is not None:
-            flush_cache_writes()
+            flush_cache_writes(cache_dir)
 
 
 # Every prompt of a replay fills its template with this instance: each call is answered from the record

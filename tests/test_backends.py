@@ -206,7 +206,7 @@ def test_caching_backend_stores_request_and_response(tmp_path):
     backend = CachingBackend(tmp_path, Inner())
     request = _request("store me")
     first = backend.complete(request)
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
     record = json.loads(files[0].read_text())
@@ -248,7 +248,7 @@ def test_cache_entry_that_does_not_decode_is_fetched_again(tmp_path, entry):
     path = tmp_path / f"{request.cache_key}.json"
     path.write_bytes(entry)
     assert backend.complete(request).text == "fresh"
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
     assert inner.calls == 1 and backend.misses == 1 and backend.hits == 0
     assert json.loads(path.read_text("utf-8"))["response"]["text"] == "fresh"
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # overwritten, no temp file left
@@ -406,7 +406,7 @@ def test_settings_merge_precedence():
 def test_cache_entry_larger_than_one_read_still_hits(tmp_path):
     text = "é" * 100_000  # 200 kB as UTF-8: more than one os.read chunk
     CachingBackend(tmp_path, b.StubBackend(text)).complete(_request("big"))
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
     replay = CachingBackend(tmp_path, inner=None)
     assert replay.complete(_request("big")).text == text
     assert replay.hits == 1 and replay.misses == 0
@@ -420,7 +420,7 @@ BATCH_ENTRIES_SHA256 = "45dd2b6d5be03abadddfaec97f71483a89a4220a80642e5c62541aef
 
 
 @pytest.fixture
-def held_writer(monkeypatch):
+def held_writer(monkeypatch, tmp_path):
     """An event that holds the cache's writer before each write until it is set; set and drained at the end."""
     release = threading.Event()
     write = b._write_entry
@@ -432,7 +432,7 @@ def held_writer(monkeypatch):
     monkeypatch.setattr(b, "_write_entry", held)
     yield release
     release.set()
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
 
 
 def test_a_miss_returns_before_its_entry_is_written_and_is_answered_from_memory(tmp_path, held_writer):
@@ -449,7 +449,7 @@ def test_a_miss_returns_before_its_entry_is_written_and_is_answered_from_memory(
         assert (fresh.hits, fresh.misses) == (1, 0)
     assert inner.calls == 1 and not path.exists()
     held_writer.set()
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
     assert json.loads(path.read_text("utf-8")) == {"request": request.as_dict(), "response": dataclasses.asdict(first)}
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
@@ -468,9 +468,9 @@ def _release_on_flush(monkeypatch, release: threading.Event) -> None:
     """Let a held writer go only when run_batch flushes: a batch that returns without flushing finds it held."""
     flush = pipeline.flush_cache_writes
 
-    def release_and_flush():
+    def release_and_flush(cache_dir):
         release.set()
-        flush()
+        flush(cache_dir)
 
     monkeypatch.setattr(pipeline, "flush_cache_writes", release_and_flush)
 
@@ -513,12 +513,12 @@ def test_a_failed_write_keeps_the_answer_and_is_raised_by_the_flush(tmp_path, fi
     assert backend.complete(_request("one")).text == "paid for"
     backend.complete(_request("two"))
     with pytest.raises(OSError, match="No space left on device") as raised:
-        b.flush_cache_writes()
+        b.flush_cache_writes(tmp_path)
     assert str(raised.value).startswith(f"{failed[0]}: ")
-    b.flush_cache_writes()  # raised once
+    b.flush_cache_writes(tmp_path)  # raised once
     assert [p.name for p in tmp_path.glob("*.json")] == [f"{_request('two').cache_key}.json"]
     assert backend.complete(_request("one")).text == "paid for" and inner.calls == 3  # not on disk: asked again
-    b.flush_cache_writes()
+    b.flush_cache_writes(tmp_path)
 
 
 def test_a_batch_whose_write_fails_raises_after_every_instance_ran(tmp_path, first_entry_write_fails):
@@ -528,6 +528,26 @@ def test_a_batch_whose_write_fails_raises_after_every_instance_ran(tmp_path, fir
                   on_progress=lambda done, total: progress.append(done))
     assert progress == [1, 2, 3] and len(first_entry_write_fails) == 1
     assert len(list(tmp_path.glob("*.json"))) == 5
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, first_entry_write_fails):
+    CachingBackend(tmp_path, b.StubBackend("paid for")).complete(_request("one"))
+    with pytest.raises(OSError, match="No space left on device"):
+        b.flush_cache_writes(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_flush_raises_only_its_own_directorys_failure(tmp_path, monkeypatch, first_entry_write_fails):
+    a, cache_b = tmp_path / "a", tmp_path / "b"
+    monkeypatch.chdir(tmp_path)  # the cache is given "a/", its flush the absolute path: one directory either way
+    CachingBackend("a/", b.StubBackend("paid for")).complete(_request("one"))  # its write fails; a is not flushed
+    run_batch(generate(GeneratorConfig(seed=3), 2), prompts.T3, OracleBackend(), cache_dir=cache_b)
+    assert len(list(cache_b.glob("*.json"))) == 4  # two llm stages an instance
+    with pytest.raises(OSError, match="No space left on device") as raised:
+        b.flush_cache_writes(a)
+    assert str(raised.value).startswith(f"{first_entry_write_fails[0]}: ")
+    b.flush_cache_writes(a)  # raised once
+    assert list(a.iterdir()) == []
 
 
 @pytest.mark.parametrize("inner", [None, b.StubBackend("fresh")], ids=["replay", "with_inner"])

@@ -944,6 +944,79 @@ def test_what_cannot_be_written_or_run_is_data_error(tmp_path, runner, args, mes
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize("args", [
+    lambda tmp_path, data, out: ["gen", "--out", out, "--n", "1"],
+    lambda tmp_path, data, out: ["run", "--dataset", data, "--mode", "t3", "--out", out, "--quiet"],
+    lambda tmp_path, data, out: ["eval", *_oracle_transcripts(tmp_path, data), "--out", out],
+    lambda tmp_path, data, out: ["autoqa", *_autoqa_inputs(tmp_path), "--out", out],
+    lambda tmp_path, data, out: ["autoqa", *_autoqa_inputs(tmp_path), "--out", str(tmp_path / "c.json"),
+                                 "--curve-out", out],
+], ids=["gen", "run", "eval_out", "autoqa_out", "autoqa_curve_out"])
+def test_an_output_that_cannot_be_put_in_place_leaves_the_earlier_file(tmp_path, runner, monkeypatch, args):
+    data, out = tmp_path / "data.jsonl", tmp_path / "out" / "earlier.txt"
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    out.parent.mkdir()
+    out.write_bytes(b"an earlier output\n")
+    argv = args(tmp_path, str(data), str(out))
+    replace = os.replace
+
+    def replace_but_not_the_output(src, dst):
+        if os.fspath(dst) == str(out):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_but_not_the_output)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    assert f"cannot write {out}: [Errno 28] No space left on device" in result.output
+    assert out.read_bytes() == b"an earlier output\n"
+    assert list(out.parent.iterdir()) == [out]  # no temporary file left beside it
+
+
+def test_a_transcript_that_cannot_be_encoded_leaves_the_earlier_file(tmp_path, runner):
+    data, prev = tmp_path / "data.jsonl", tmp_path / "prev.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "5", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--out", str(prev), "--quiet"])
+    earlier = prev.read_bytes()
+    assert len(earlier.splitlines()) == 5
+    lines = data.read_text("utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["commentary"] += "\ud800"  # a lone surrogate: read_dataset takes the JSON escape, UTF-8 cannot write it
+    lines[2] = json.dumps(record) + "\n"
+    data.write_text("".join(lines), "utf-8")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--out", str(prev), "--quiet"])
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    assert f"cannot write {prev}: " in result.output and "can't encode character" in result.output
+    assert prev.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "prev.jsonl"]
+
+
+def test_an_output_that_is_not_a_regular_file_is_refused(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    src = str(Path(t3table.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # bounded: a writer that opens the FIFO waits for a reader that never comes
+    proc = subprocess.run([sys.executable, "-m", "t3table.cli", "gen", "--out", str(fifo), "--n", "1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert f"cannot write {fifo}: not a regular file: {fifo}" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+def test_eval_counts_dataset_instances_without_a_transcript(tmp_path, runner):
+    data, full, part, report_json = (tmp_path / n for n in ("data.jsonl", "t.jsonl", "part.jsonl", "r.json"))
+    invoke(runner, ["gen", "--out", str(data), "--n", "5", "--seed", "1"])
+    invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--out", str(full), "--quiet"])
+    part.write_text("".join(full.read_text("utf-8").splitlines(keepends=True)[:2]), "utf-8")
+    result = invoke(runner, ["eval", "--transcripts", str(part), "--dataset", str(data), "--out", str(report_json)])
+    assert result.exit_code == 0
+    assert "scored instances: 2; filtered: 0 malformed\ndataset instances without a transcript: 3\n" in result.output
+    assert json.loads(report_json.read_text("utf-8"))["without_transcript"] == [i.id for i in read_dataset(data)[2:]]
+    result = invoke(runner, ["eval", "--transcripts", str(full), "--dataset", str(data)])
+    assert "dataset instances without a transcript: 0\n" in result.output
+
+
 @pytest.mark.parametrize("kind", ["replay", "http"])
 def test_a_cache_dir_that_is_a_regular_file_is_data_error(tmp_path, runner, monkeypatch, kind):
     posts = []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from t3table import pipeline, prompts
 from t3table.autoqa import load_documents, load_tables
 from t3table.backends import OracleBackend
-from t3table.jsonl import _READ_BUFFER, DatasetError, load_json, read_jsonl, to_json
+from t3table.jsonl import _READ_BUFFER, DatasetError, load_json, read_jsonl, to_json, write_whole
 from t3table.model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from t3table.pipeline import RunTranscript, StageRecord, _decode_tuple, _load_transcript, _transcript_line
 from t3table.pipeline import read_transcripts, run_batch, transcript_from_dict, transcript_to_dict, write_transcripts
@@ -235,3 +235,27 @@ def test_each_transcript_line_reads_as_plain_json_reads_it(tmp_path_factory, tra
         assert (type(fast["tuples"]) is tuple) == (bool(transcript.tuples) and not split)
         assert {**fast, "tuples": None} == {**plain, "tuples": None}
         assert transcript_from_dict(fast) == transcript_from_dict(plain)
+
+
+def test_a_symlink_at_the_target_is_replaced_not_written_through(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("kept", "utf-8")
+    link.symlink_to(target)
+    write_whole(link, ["new ", "text"])
+    assert not link.is_symlink() and link.read_text("utf-8") == "new text"
+    assert target.read_text("utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("failure", [OSError(5, "Input/output error"), KeyboardInterrupt()], ids=["eio", "interrupt"])
+def test_a_write_that_fails_midway_leaves_the_earlier_file(tmp_path, failure):
+    path = tmp_path / "out.jsonl"
+    path.write_text("earlier\n", "utf-8")
+
+    def texts():
+        yield "half a line"
+        raise failure
+
+    with pytest.raises(type(failure)):
+        write_whole(path, texts())
+    assert path.read_text("utf-8") == "earlier\n" and list(tmp_path.iterdir()) == [path]
