@@ -8,13 +8,14 @@ extractor, which closes the loop on synthetic data without a network.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import os
 import random
-import re
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import prompts
-from .jsonl import is_number, load_json, write_whole
+from .jsonl import has_lone_surrogate, is_number, load_json, write_whole
 from .model import SummaryTable, is_count
 from .tableio import to_csv
 from .tuples import integrate, parse_tuples
@@ -31,7 +32,6 @@ API_KEY_ENV = "T3_API_KEY"
 
 # json.dumps with sort_keys builds an encoder per call
 _CANONICAL = json.JSONEncoder(sort_keys=True)
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class BackendError(RuntimeError):
@@ -68,7 +68,7 @@ class LlmResponse:
     def __post_init__(self) -> None:
         # every backend's reply and every cache entry is built here, so none with a wrong-typed field gets further;
         # a lone surrogate (a JSON "\ud800" escape gives one) would fail the UTF-8 write of the cache or transcript
-        if not (isinstance(self.text, str) and (self.text.isascii() or not _SURROGATE.search(self.text))
+        if not (isinstance(self.text, str) and not has_lone_surrogate(self.text)
                 and is_count(self.prompt_tokens) and is_count(self.completion_tokens) and is_number(self.latency_s)):
             raise BackendError(f"backend response has wrong-typed fields: {self!r:.300}")
 
@@ -178,9 +178,12 @@ def _cache_key(request: dict) -> str:
     return hashlib.sha256(_CANONICAL.encode(request).encode("utf-8")).hexdigest()
 
 
-# A miss returns as soon as the backend answers; this one thread writes its entry. Until an entry is on
-# disk, its request (as_dict) and response wait here by path, so the process answers it from memory.
+# A miss returns as soon as the backend answers, and queues its entry. The next miss to go to the network hands
+# the queue to this one thread, so entries are written while requests wait, not while their replies are parsed.
+# Until an entry is on disk, its request (as_dict) and response wait here by path, so the process answers it
+# from memory.
 _writer = ThreadPoolExecutor(max_workers=1)
+_queued: deque[tuple[str, dict, LlmResponse]] = deque()
 _unwritten: dict[str, tuple[dict, LlmResponse]] = {}
 _failed_writes: dict[str, OSError] = {}  # by absolute cache directory: its first failed write since its flush
 
@@ -195,10 +198,19 @@ def _write_entry(path: str, request: dict, response: LlmResponse) -> None:
         _unwritten.pop(path, None)
 
 
+@atexit.register  # runs after the writer's thread has ended, so an exit without a flush loses no queued entry
+def _write_queued() -> None:
+    """Write every queued entry, oldest first: the writer's one job, and the exit's. Misses only append, so this
+    is the queue's one reader."""
+    while _queued:
+        _write_entry(*_queued.popleft())
+
+
 def flush_cache_writes(cache_dir: str | Path) -> None:
     """Return once every entry queued before the call is on disk; raise, as an OSError naming its path, the first
-    in ``cache_dir`` that failed since that directory's last flush. The process's exit waits too, but keeps errors."""
-    _writer.submit(lambda: None).result()  # the one writer runs its jobs in order
+    in ``cache_dir`` that failed since that directory's last flush. The process's exit writes them too, but keeps
+    errors."""
+    _writer.submit(_write_queued).result()
     if failed := _failed_writes.pop(os.path.abspath(cache_dir), None):
         raise failed
 
@@ -208,7 +220,9 @@ class CachingBackend:
 
     With inner=None this is a pure replay backend: a cache miss is an error,
     and no network is ever touched. A miss's entry is written off the request
-    path; flush_cache_writes(cache_dir) returns once it is on disk.
+    path: it is handed to one writer thread when the next miss goes to the
+    network or at flush_cache_writes(cache_dir), which returns once it is on
+    disk, and written at the process's exit.
     """
 
     def __init__(self, cache_dir: str | Path, inner: Backend | None = None) -> None:
@@ -258,9 +272,11 @@ class CachingBackend:
             if os.path.exists(path):
                 raise BackendError(f"replay cache entry {path} does not decode, or holds another request")
             raise BackendError(f"replay cache miss for request {key}")
+        if _queued:
+            _writer.submit(_write_queued)
         response = self.inner.complete(request)
-        _unwritten[path] = (asked, response)
-        _writer.submit(_write_entry, path, asked, response)
+        _unwritten[path] = (asked, response)  # before the queue: the writer takes it out once it is on disk
+        _queued.append((path, asked, response))
         return response
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from math import inf
 from pathlib import Path
@@ -34,6 +35,34 @@ def load_json(data: bytes | str) -> object:
         raise ValueError(f"nested too deep: {exc}") from exc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(value: object) -> bool:
+    """Whether a string in ``value``, a string or JSON as loaded, holds a lone surrogate: a JSON "\\ud800" escape
+    gives one, and UTF-8 cannot encode it. Values of other types hold none."""
+    todo = [value]  # a loop, not recursion: JSON as deep as json.loads takes does not overflow the stack
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            if not item.isascii() and _SURROGATE.search(item):
+                return True
+        elif type(item) is dict:
+            todo += item
+            todo += item.values()
+        elif type(item) is list:
+            todo += item
+    return False
+
+
+def writable(value: T, what: str) -> T:
+    """``value``, a string or JSON as loaded, unless has_lone_surrogate finds one in it: then a ValueError naming
+    ``what``. Every string a reader keeps passes here, so no output fails on a text a reader took."""
+    if has_lone_surrogate(value):
+        raise ValueError(f"{what} holds a lone surrogate, which UTF-8 cannot encode")
+    return value
+
+
 # The default 8 KiB takes several raw reads and a join per 17 KB transcript line; 256 KiB gains little more
 _READ_BUFFER = 128 * 1024
 
@@ -42,9 +71,10 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T], load: Callable[[by
     """``decode`` of every record in the file, in file order; ``load`` reads a line as load_json does.
 
     Blank lines are skipped. Invalid JSON, a line that is not an object, a
-    missing or duplicate id, and an AttributeError, KeyError, TypeError or
-    ValueError raised by ``decode`` (a field of the wrong type or value) all
-    raise DatasetError.
+    missing or duplicate id, an id that writable refuses, and an
+    AttributeError, KeyError, TypeError or ValueError raised by ``decode`` (a
+    field of the wrong type or value, or a text writable refuses) all raise
+    DatasetError.
     """
     out: list[T] = []
     seen: set[str] = set()
@@ -61,6 +91,8 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T], load: Callable[[by
                 raise DatasetError(f"invalid JSON {at}: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(record, dict) or "id" not in record:
                 raise DatasetError(f"record without an id {at}")
+            if has_lone_surrogate(record["id"]):  # a transcript keeps its id as read
+                raise DatasetError(f"id with a lone surrogate, which UTF-8 cannot encode, {at}")
             record_id = str(record["id"])
             if record_id in seen:
                 raise DatasetError(f"duplicate id {record_id!r} {at}")
@@ -88,11 +120,12 @@ def is_number(value: object) -> bool:
 
 
 def string_field(record: dict, key: str) -> str:
-    """``record[key]``, which must be a string; any other type is a TypeError, a missing key a KeyError."""
+    """``record[key]``, which must be a string that writable takes; any other type is a TypeError, a missing key a
+    KeyError. str.isascii is O(1), so an ASCII string pays no scan."""
     value = record[key]
     if not isinstance(value, str):
         raise TypeError(f"{key} must be a string, got {type(value).__name__}")
-    return value
+    return value if value.isascii() else writable(value, key)
 
 
 def number_field(record: dict, key: str) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from . import prompts
 from .backends import Backend, BackendError, CachingBackend, LlmRequest, StubBackend, flush_cache_writes
 from .config import DEFAULT_MODEL
-from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field
+from .jsonl import bool_field, count_field, load_json, number_field, read_jsonl, string_field, writable
 from .jsonl import table_to_rows, to_json, write_lines
 from .model import EventTuple, MatchInstance, RawEventLabel, SummaryTable, TeamSide, Unknown
 from .prompts import Message, ModeKind, PipelineMode, build_instruction, build_prompt
@@ -370,7 +370,7 @@ def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
         type(p) is list and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str) for p in pairs
     ):
         raise TypeError(f"{what} must be a list of [string, string] pairs")
-    return tuple(map(tuple, pairs))
+    return tuple(map(tuple, writable(pairs, what)))
 
 
 def transcript_from_dict(d: dict) -> RunTranscript:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_lines
+from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_lines, writable
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -583,7 +583,7 @@ def _instance_from_record(record: dict) -> MatchInstance:
         id=str(record["id"]),
         commentary=string_field(record, "commentary"),
         ground_truth=None if table is None else SummaryTable.from_rows(*table),
-        meta={k: str(v) for k, v in record.get("meta", {}).items()},
+        meta={k: str(v) for k, v in writable(record.get("meta", {}), "meta").items()},
     )
 
 

@@ -4,7 +4,11 @@ import codecs
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -504,6 +508,85 @@ def test_an_interrupted_batch_leaves_every_answered_entry_on_disk(tmp_path, monk
                   on_progress=interrupt)
     assert len(answered) == 8
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{r.cache_key}.json" for r in answered)
+
+
+def test_an_entry_is_handed_to_the_writer_when_the_next_miss_goes_to_the_network(tmp_path, monkeypatch):
+    b.flush_cache_writes(tmp_path)  # entries an earlier test left queued would be handed over by the first miss
+    writing, write = threading.Event(), b._write_entry
+
+    def noted(*args):
+        writing.set()
+        write(*args)
+
+    monkeypatch.setattr(b, "_write_entry", noted)
+    written_while_asked = []
+
+    def answer(request):
+        if request.last_text == "second":
+            written_while_asked.append(writing.wait(5))
+        return "reply"
+
+    backend = CachingBackend(tmp_path, b.StubBackend(answer))
+    backend.complete(_request("first"))
+    assert not writing.wait(0.3)  # not while the first reply is parsed
+    backend.complete(_request("second"))
+    assert written_while_asked == [True]  # while the second request waits
+    b.flush_cache_writes(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{_request(t).cache_key}.json"
+                                                                for t in ("first", "second"))
+
+
+def test_threads_that_miss_at_once_leave_every_entry_on_disk_and_none_in_memory(tmp_path):
+    backend = CachingBackend(tmp_path, b.StubBackend(lambda request: "reply to " + request.last_text))
+    asked = [[_request(f"thread {i} ask {k}") for k in range(25)] for i in range(8)]
+    answers: dict[int, list] = {}
+
+    def work(i: int) -> None:
+        answers[i] = [backend.complete(request).text for request in asked[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hands the lock over often, so queueing and draining interleave
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    b.flush_cache_writes(tmp_path)
+    assert all(answers[i] == [f"reply to thread {i} ask {k}" for k in range(25)] for i in range(8))
+    paths = {str(tmp_path / f"{r.cache_key}.json") for requests in asked for r in requests}
+    assert {str(p) for p in tmp_path.iterdir()} == paths  # every entry written, no temporary file left
+    assert not paths & b._unwritten.keys()  # and none answered from memory any more
+
+
+# A child process answers two misses, each after 50 ms, and exits without a flush.
+_EXIT_WITHOUT_FLUSH = """
+import sys, time
+from t3table import backends as b
+
+def slow(request):
+    time.sleep(0.05)
+    return "answer to " + request.last_text
+
+cache = b.CachingBackend(sys.argv[1], b.StubBackend(slow))
+for text in ("one", "two"):
+    cache.complete(b.LlmRequest("m", (("user", text),), 0.0))
+"""
+
+
+def test_the_process_exit_writes_every_queued_entry(tmp_path):
+    src = str(Path(b.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _EXIT_WITHOUT_FLUSH, str(tmp_path)], capture_output=True,
+                          text=True, timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == {
+        f"{_request('one').cache_key}.json": "d32e301de1951893785e76fd263225aca6453ba4a70d55a3e352d5bb499f6100",
+        f"{_request('two').cache_key}.json": "ba41af7ee9603da3b584fe8da2ce0247e4599396a0f23c237c52b83a65cb6288",
+    }  # no temporary file either
 
 
 def test_a_failed_write_keeps_the_answer_and_is_raised_by_the_flush(tmp_path, first_entry_write_fails):

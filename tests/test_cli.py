@@ -11,6 +11,8 @@ import requests
 from click.testing import CliRunner
 
 import t3table
+from t3table import cli
+from t3table.backends import StubBackend
 from t3table.cli import main
 from t3table.pipeline import read_transcripts
 from t3table.synth import read_dataset
@@ -973,7 +975,7 @@ def test_an_output_that_cannot_be_put_in_place_leaves_the_earlier_file(tmp_path,
     assert list(out.parent.iterdir()) == [out]  # no temporary file left beside it
 
 
-def test_a_transcript_that_cannot_be_encoded_leaves_the_earlier_file(tmp_path, runner):
+def test_a_transcript_that_cannot_be_encoded_leaves_the_earlier_file(tmp_path, runner, monkeypatch):
     data, prev = tmp_path / "data.jsonl", tmp_path / "prev.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "5", "--seed", "1"])
     invoke(runner, ["run", "--dataset", str(data), "--mode", "t3", "--out", str(prev), "--quiet"])
@@ -981,14 +983,26 @@ def test_a_transcript_that_cannot_be_encoded_leaves_the_earlier_file(tmp_path, r
     assert len(earlier.splitlines()) == 5
     lines = data.read_text("utf-8").splitlines(keepends=True)
     record = json.loads(lines[2])
-    record["commentary"] += "\ud800"  # a lone surrogate: read_dataset takes the JSON escape, UTF-8 cannot write it
+    record["commentary"] += "\ud800"  # a lone surrogate: json.dumps writes the JSON escape, UTF-8 cannot write it
     lines[2] = json.dumps(record) + "\n"
     data.write_text("".join(lines), "utf-8")
-    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--out", str(prev), "--quiet"])
+    stubs = []
+    monkeypatch.setattr(cli, "StubBackend", lambda script: stubs.append(StubBackend(script)) or stubs[-1])
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", "stub",
+                                  "--out", str(prev), "--quiet"])
     assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
-    assert f"cannot write {prev}: " in result.output and "can't encode character" in result.output
+    assert (f"cannot load inputs: bad record at line 3 of {data}: ValueError: commentary holds a lone surrogate, "
+            "which UTF-8 cannot encode") in result.output
+    assert [stub.calls for stub in stubs] == [0]  # the dataset is refused before any backend call
     assert prev.read_bytes() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "prev.jsonl"]
+
+
+def test_a_text_that_utf8_cannot_write_is_a_data_error():
+    """The readers refuse a lone surrogate; an output that holds one all the same still exits 3."""
+    with pytest.raises(cli.DataError, match="cannot write out: 'utf-8' codec can't encode") as raised:
+        cli._file("cannot write out", "\ud800".encode, "utf-8")
+    assert raised.value.exit_code == 3
 
 
 def test_an_output_that_is_not_a_regular_file_is_refused(tmp_path):

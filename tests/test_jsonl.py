@@ -46,6 +46,60 @@ def test_read_transcripts_rejects_unknown_team(tmp_path):
         read_transcripts(path)
 
 
+_LONE_SURROGATE_LINES = {
+    "dataset_id": (read_dataset, '{"id": "b%s", "commentary": "x", "table": null}'),
+    "dataset_commentary": (read_dataset, '{"id": "b", "commentary": "x%s", "table": null}'),
+    "dataset_meta_key": (read_dataset, '{"id": "b", "commentary": "x", "table": null, "meta": {"k%s": "v"}}'),
+    "dataset_meta_value": (read_dataset, '{"id": "b", "commentary": "x", "table": null, "meta": {"k": "v%s"}}'),
+    "document_question": (load_documents, '{"id": "b", "text": "x", "qa": [{"question": "q%s", "answer": "1"}]}'),
+    "table": (load_tables, '{"id": "b", "table": "x%s"}'),
+    "transcript_id": (read_transcripts, '{"id": ["b%s"], "mode": "t3"}'),  # kept as read: any JSON value
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LONE_SURROGATE_LINES))
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"], ids=["high", "low", "pair_reversed"])
+def test_a_lone_surrogate_is_an_error_naming_the_file_and_line(tmp_path, kind, escape):
+    read, line = _LONE_SURROGATE_LINES[kind]
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n \n" + line % escape + "\n", "utf-8")
+    with pytest.raises(DatasetError, match="lone surrogate, which UTF-8 cannot encode") as caught:
+        read(path)
+    assert f"at line 3 of {path}" in str(caught.value)
+
+
+@pytest.mark.parametrize("text, escape", [("\U0001f600", "\\ud83d\\ude00"), ("\\ud800", "\\\\ud800"),
+                                          ("é", "\\u00e9")], ids=["pair", "escaped_backslash", "not_a_surrogate"])
+def test_an_escape_that_gives_no_lone_surrogate_reads(tmp_path, text, escape):
+    path = tmp_path / "tables.jsonl"
+    path.write_text('{"id": "a", "table": "x%s"}\n' % escape, "utf-8")
+    assert load_tables(path) == {"a": "x" + text}
+
+
+@pytest.mark.parametrize("field", ['"mode": "', '"kind": "', '"response": "', '"final_table_text": "',
+                                   '"prompt": [["user", "', '"rejected_lines": [["'])
+@pytest.mark.parametrize("fast", [False, True], ids=["load_json", "fast_path"])
+def test_a_lone_surrogate_in_a_transcript_is_an_error_on_either_read_path(tmp_path, monkeypatch, field, fast):
+    path = tmp_path / "t.jsonl"
+    write_transcripts(run_batch(generate(GeneratorConfig(seed=3), 2), prompts.T3, OracleBackend()), path)
+    pipeline._TUPLE_BY_JSON.clear()
+    if fast:
+        read_transcripts(path)  # fills the memo, so the next read takes each line's tuples from it
+    lines = path.read_text("utf-8").splitlines()
+    if field.startswith('"rejected_lines"'):
+        field = '"rejected_lines": []'
+        lines[1] = lines[1].replace(field, '"rejected_lines": [["a line\\ud800", "why"]]')
+    else:
+        lines[1] = lines[1].replace(field, field + "\\udc00", 1)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_json", lambda data: loaded.append(data) or load_json(data))
+    with pytest.raises(DatasetError, match="lone surrogate, which UTF-8 cannot encode") as caught:
+        read_transcripts(path)
+    assert "at line 2 of" in str(caught.value)
+    assert len(loaded) == (0 if fast else 2)  # the fast path loads no line whole
+
+
 def test_equal_tuple_records_decode_to_one_object(tmp_path):
     path = tmp_path / "t.jsonl"
     goal = EventTuple(team=TeamSide.HOME, label=RawEventLabel.GOAL, player="Player3")
