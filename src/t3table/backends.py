@@ -24,7 +24,7 @@ from typing import Callable, Protocol
 
 from . import prompts
 from .jsonl import has_lone_surrogate, is_number, load_json, write_whole
-from .model import SummaryTable, is_count
+from .model import is_count
 from .tableio import to_csv
 from .tuples import integrate, parse_tuples
 
@@ -92,6 +92,24 @@ class StubBackend:
         return LlmResponse(text=text, completion_tokens=len(text.split()))
 
 
+def _oracle_text(template_id: str, payload: str) -> str:
+    """The oracle's reply to a ``template_id`` prompt on ``payload``; an empty payload gives an all-zero table."""
+    # looked up at call time, so a wrapper swapped in for synth.oracle_extract
+    # (as perfbench/tracing.py does) sees the oracle's calls
+    from .synth import oracle_extract
+
+    if template_id == "extract":
+        return prompts.render_tuple_lines(oracle_extract(payload))
+    if template_id in ("zero_shot", "merged"):
+        return to_csv(integrate(oracle_extract(payload)))
+    if template_id == "integrate_direct":
+        return prompts.render_count_tuples(integrate(parse_tuples(payload).tuples))
+    if template_id == "render_table":
+        # stage-2 output is counts, or else raw tuples to integrate
+        return to_csv(prompts.parse_count_tuples(payload) or integrate(parse_tuples(payload).tuples))
+    raise BackendError(f"oracle backend cannot handle template {template_id!r}")
+
+
 class OracleBackend:
     """Answers pipeline prompts with the rule-based extractor and integrator."""
 
@@ -99,26 +117,7 @@ class OracleBackend:
         classified = prompts.classify_prompt(request.last_text)
         if classified is None:
             raise BackendError("oracle backend got a prompt it does not recognize")
-        template_id, payload = classified
-        # looked up at call time, so a wrapper swapped in for synth.oracle_extract
-        # (as perfbench/tracing.py does) sees the oracle's calls
-        from .synth import oracle_extract
-
-        if template_id == "extract":
-            return LlmResponse(text=prompts.render_tuple_lines(oracle_extract(payload)))
-        if template_id in ("zero_shot", "merged"):
-            table = integrate(oracle_extract(payload))
-            return LlmResponse(text=to_csv(table))
-        if template_id == "integrate_direct":
-            table = integrate(parse_tuples(payload).tuples)
-            return LlmResponse(text=prompts.render_count_tuples(table))
-        if template_id == "render_table":
-            table = prompts.parse_count_tuples(payload)
-            if table is None:
-                # stage-2 output was raw tuples, not counts; integrate them
-                table = integrate(parse_tuples(payload).tuples)
-            return LlmResponse(text=to_csv(table))
-        raise BackendError(f"oracle backend cannot handle template {template_id!r}")
+        return LlmResponse(text=_oracle_text(*classified))
 
 
 class HttpBackend:
@@ -227,7 +226,12 @@ class CachingBackend:
 
     def __init__(self, cache_dir: str | Path, inner: Backend | None = None) -> None:
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:  # replay only reads: it makes no directory, and a missing one is a cold cache
+            found = os.stat(cache_dir)  # a path through a regular file raises NotADirectoryError
+        except FileNotFoundError:
+            found = None
+        if inner is not None or found is not None:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)  # refuses a regular file
         self._dir = str(self.cache_dir)  # os.path.join on it is cheaper than the Path's "/"
         self.inner = inner
         self._lock = threading.Lock()
@@ -281,13 +285,6 @@ class CachingBackend:
 
 
 def zero_table_stub(request: LlmRequest) -> str:
-    """Default CLI stub: an all-zero table for table prompts, nothing for extraction."""
+    """Default CLI stub: the oracle's reply with the prompt's text left out (an all-zero table, no tuples)."""
     classified = prompts.classify_prompt(request.last_text)
-    if classified is None:
-        return ""
-    template_id, _ = classified
-    if template_id in ("zero_shot", "merged", "render_table"):
-        return to_csv(SummaryTable.zero())
-    if template_id == "integrate_direct":
-        return prompts.render_count_tuples(SummaryTable.zero())
-    return ""
+    return "" if classified is None else _oracle_text(classified[0], "")

@@ -18,8 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-# DatasetError is what read_dataset raises; importers catch it from here too
-from .jsonl import DatasetError, known_keys, read_jsonl, string_field, table_to_rows, to_json, write_lines, writable
+from .jsonl import known_keys, read_jsonl, string_field, table_to_rows, to_json, write_lines, writable
 from .model import (
     DECORATED_TAG,
     EVENT_ORDER,
@@ -195,7 +194,6 @@ class TemplateBank:
         self.entries: tuple[_Entry, ...] = tuple(chain(
             *self.events.values(), *self.combos.values(), self.fillers, *self.boilerplate.values()
         ))
-        self._pools: dict[tuple[RawEventLabel, str | None], list[_Entry]] = {}
 
         # Index for oracle_extract: each entry is filed under the literal word
         # of its template that the fewest entries share.
@@ -215,13 +213,8 @@ class TemplateBank:
 
     def pool(self, label: RawEventLabel, prefer: str | None = None) -> list[_Entry]:
         """The templates of ``label``; those whose id contains ``prefer`` if there are any."""
-        pool = self._pools.get((label, prefer))
-        if pool is None:
-            pool = self.events[label]
-            if prefer is not None:
-                pool = [e for e in pool if prefer in e.id] or pool
-            self._pools[label, prefer] = pool
-        return pool
+        pool = self.events[label]
+        return pool if prefer is None else ([e for e in pool if prefer in e.id] or pool)
 
     def candidates(self, sentence: str) -> tuple[tuple[_Entry, re.Pattern[str]], ...]:
         """(entry, pattern) pairs of the entries that could fullmatch ``sentence``, in bank order.

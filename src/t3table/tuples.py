@@ -116,21 +116,19 @@ def parse_tuples(text: str) -> TupleParseReport:
         if read is None:
             continue
         if isinstance(read, str):
-            return _parse_lines(text)
+            return _parse_lines(stripped)
         if isinstance(read.label, Unknown):
             unknown += 1
         tuples.append(read)
     return TupleParseReport(tuple(tuples), (), unknown)
 
 
-def _parse_lines(text: str) -> TupleParseReport:
-    """parse_tuples line by line, which names the line of each rejected group."""
+def _parse_lines(stripped: str) -> TupleParseReport:
+    """parse_tuples line by line on its tag-stripped text, which names the line of each rejected group."""
     tuples: list[EventTuple] = []
     rejected: list[tuple[str, str]] = []
     unknown = 0
-    for line in text.splitlines():
-        if " Team)" in line:
-            line = DECORATED_TAG.sub(r"\1", line)
+    for line in stripped.splitlines():
         for group in PAREN_GROUP.findall(line):
             read = _read_group(group)
             if read is None:

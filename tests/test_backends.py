@@ -357,6 +357,29 @@ def test_the_cli_stub_answers_a_prompt_it_does_not_know_with_nothing():
     assert b.zero_table_stub(_request("not a pipeline prompt")) == ""
 
 
+# The transcripts of `run --backend stub` on 30 seed-2 instances at parallelism 4, as sha256 of the file each mode
+# spelling writes: the stub's replies (all-zero tables, no tuples) are fixed, so its runs keep their bytes.
+STUB_TRANSCRIPTS_SHA256 = {
+    "zero-shot": "e0ab7460c71dd376b0d1e1d41d2dbf6f3b893ca2c7122ac4675df4dac9f2c545",
+    "zero-shot-cot": "915d6dc6ac1aa38adb6c35b193efdb92141c11b48fdbc78b0319e24e07efbbf0",
+    "few-shot:2": "a35add3d53d1a083a2eaeef363adfdd3697c872b6d72001e6b5781ba841c7a1c",
+    "few-shot-cot:1": "a335668e2801aad3988914c420d2636ae6505d2ae25fba67bdee56a94e9dd29b",
+    "t2": "37b9d0b2ebd71fa434964f4a647c88a96410d4608db17e7b3ca9288c94e8acc9",
+    "t3": "cdb22174e9cf16b84eb37de6b7a30b728ffc4725a4a1874ba9c6f95fd61d1327",
+    "t3m": "8bd4e8c7a503cac79250328fda2c93ad5c0d2c1bc721239df499e777fc9308bc",
+    "t3d": "6fa04a11ff9a54e3a64fed0e1ac52394b8a691dd1f79142fa70528c063efbce0",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(STUB_TRANSCRIPTS_SHA256))
+def test_the_cli_stub_writes_the_pinned_transcripts_in_every_mode(tmp_path, spelling):
+    path = tmp_path / "out.jsonl"
+    transcripts = run_batch(generate(GeneratorConfig(seed=2), 30), prompts.parse_mode(spelling),
+                            b.StubBackend(b.zero_table_stub), 4)
+    pipeline.write_transcripts(transcripts, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STUB_TRANSCRIPTS_SHA256[spelling]
+
+
 # --- config files ------------------------------------------------------------------
 
 def test_parse_config_file(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 import requests
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import t3table
-from t3table import cli
+from t3table import cli, jsonl
 from t3table.backends import StubBackend
 from t3table.cli import main
 from t3table.pipeline import read_transcripts
@@ -197,6 +200,17 @@ def test_run_replay_cold_cache_exhausts_backend(tmp_path, runner):
         "--out", str(tmp_path / "t.jsonl"), "--quiet",
     ])
     assert result.exit_code == 4
+
+
+def test_a_replay_over_a_missing_cache_dir_makes_no_directory(tmp_path, runner):
+    data = tmp_path / "data.jsonl"
+    invoke(runner, ["gen", "--out", str(data), "--n", "3", "--seed", "1"])
+    result = runner.invoke(main, [
+        "run", "--dataset", str(data), "--mode", "t3", "--backend", "replay",
+        "--cache-dir", str(tmp_path / "no" / "such" / "cache"), "--out", str(tmp_path / "t.jsonl"), "--quiet",
+    ])
+    assert result.exit_code == 4
+    assert not (tmp_path / "no").exists()
 
 
 @pytest.mark.parametrize("key, value", [("retries", "0"), ("retries", "-2"), ("parallelism", "0"), ("backoff_s", "-1"),
@@ -975,6 +989,57 @@ def test_an_output_that_cannot_be_put_in_place_leaves_the_earlier_file(tmp_path,
     assert list(out.parent.iterdir()) == [out]  # no temporary file left beside it
 
 
+_OUTPUT_COMMANDS = {
+    "gen": lambda inputs, out: ["gen", "--out", out, "--n", "2", "--seed", "4"],
+    "run": lambda inputs, out: ["run", "--dataset", str(inputs / "data.jsonl"), "--mode", "t3", "--out", out, "--quiet"],
+    "eval": lambda inputs, out: ["eval", "--transcripts", str(inputs / "oracle.jsonl"),
+                                 "--dataset", str(inputs / "data.jsonl"), "--out", out],
+}
+# the file operations of writing an output, each as (object, attribute): the temporary file's open, its rename
+# over the output, and the making of the output's directory
+_WRITE_OPERATIONS = {"open": (jsonl, "open"), "replace": (os, "replace"), "mkdir": (Path, "mkdir")}
+
+
+@pytest.fixture(scope="module")
+def output_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("inputs")
+    data = str(inputs / "data.jsonl")
+    invoke(CliRunner(), ["gen", "--out", data, "--n", "2", "--seed", "1"])
+    _oracle_transcripts(inputs, data)
+    return inputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(_OUTPUT_COMMANDS)), operation=st.sampled_from(sorted(_WRITE_OPERATIONS)),
+       code=st.sampled_from([errno.ENOSPC, errno.EACCES, errno.EIO]), data=st.data())
+def test_an_output_write_that_fails_at_any_step_exits_3_and_leaves_the_earlier_file(
+        output_inputs, tmp_path_factory, command, operation, code, data):
+    out = tmp_path_factory.mktemp("out") / "earlier.txt"
+    argv = _OUTPUT_COMMANDS[command](output_inputs, str(out))
+    owner, name = _WRITE_OPERATIONS[operation]
+    real = getattr(owner, name, None) or open  # jsonl's open is the builtin one
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise OSError(code, os.strerror(code))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, name, counted, raising=False)
+        fail_at = 0  # a clean run first, to count the operation's calls
+        invoke(CliRunner(), argv)
+        assert calls
+        fail_at, calls = data.draw(st.integers(1, len(calls)), label="fail_at"), []
+        out.write_bytes(b"an earlier output\n")
+        result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    assert f"cannot write {out}: [Errno {code}] {os.strerror(code)}" in result.output
+    assert out.read_bytes() == b"an earlier output\n"
+    assert list(out.parent.iterdir()) == [out]  # no temporary file left beside it
+
+
 def test_a_transcript_that_cannot_be_encoded_leaves_the_earlier_file(tmp_path, runner, monkeypatch):
     data, prev = tmp_path / "data.jsonl", tmp_path / "prev.jsonl"
     invoke(runner, ["gen", "--out", str(data), "--n", "5", "--seed", "1"])
@@ -1043,6 +1108,21 @@ def test_a_cache_dir_that_is_a_regular_file_is_data_error(tmp_path, runner, monk
                                   "--config", str(config), "--out", str(out), "--quiet"])
     assert result.exit_code == 3 and f"cannot make cache directory {cache}" in result.output
     assert isinstance(result.exception, SystemExit)  # click's own exit, not an uncaught exception
+    assert posts == [] and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["replay", "http"])
+def test_a_cache_dir_under_a_regular_file_is_data_error(tmp_path, runner, monkeypatch, kind):
+    posts = []
+    monkeypatch.setattr("requests.post", lambda url, **kwargs: posts.append(url))
+    data, config, cache, out = (tmp_path / name for name in ("data.jsonl", "backend.cfg", "file/cache", "t.jsonl"))
+    invoke(runner, ["gen", "--out", str(data), "--n", "2", "--seed", "1"])
+    cache.parent.write_text("")
+    config.write_text(f"endpoint = http://127.0.0.1:9/v1/chat/completions\ncache_dir = {cache}\n")
+    result = runner.invoke(main, ["run", "--dataset", str(data), "--mode", "t3", "--backend", kind,
+                                  "--config", str(config), "--out", str(out), "--quiet"])
+    assert result.exit_code == 3 and f"cannot make cache directory {cache}" in result.output
+    assert isinstance(result.exception, SystemExit)
     assert posts == [] and not out.exists()
 
 

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from t3table import synth
+from t3table.jsonl import DatasetError
 from t3table.model import EventTuple, EventType, RawEventLabel, SummaryTable, TeamSide
 from t3table.synth import (
-    DatasetError,
     GeneratorConfig,
     default_bank,
     generate,
